@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import verify
 from .decomposition import (
@@ -29,6 +30,8 @@ from .edge_coloring import (
     kuhn_defective_edge_coloring,
 )
 from .graphs import GENERATOR_KINDS, GeneratorSpec, Graph, generate, load_edge_list, orient_forest
+from .labels import LabelDomain
+from .runtime import RunReport
 from .vertex_coloring import (
     cole_vishkin_3coloring,
     expand_to_generic,
@@ -48,35 +51,13 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# parameter schemas and parsing
-
-_INT = "int"
-_FLOAT = "float"
-
-# tag -> {param: (type, required)}
-SCHEMAS: dict[str, dict[str, tuple[str, bool]]] = {
-    "random-coloring": {"c": (_FLOAT, False), "delta": (_INT, False)},
-    "delta2-coloring": {"delta": (_INT, False)},
-    "defective-coloring": {"p": (_INT, True), "delta": (_INT, False)},
-    "cv3-expansion": {"delta": (_INT, False)},
-    "network-decomposition": {"c": (_INT, False), "B": (_INT, False),
-                              "label_budget": (_INT, False)},
-    "forest-id": {},
-    "forest-hpartition": {"a": (_INT, True), "eps": (_FLOAT, False)},
-    "arboricity-coloring": {"a": (_INT, True), "eps": (_FLOAT, False),
-                            "c": (_FLOAT, False)},
-    "edge-random": {"c": (_FLOAT, False)},
-    "edge-delta2": {},
-    "kuhn-edge": {"i": (_INT, True)},
-    "dominating-edge": {"c": (_INT, False), "t": (_INT, False),
-                        "max_rounds": (_INT, False)},
-}
+# parameter parsing
 
 
 def parse_params(tag: str, pairs: list[str]) -> dict:
-    if tag not in SCHEMAS:
-        raise ConfigError(f"unknown algorithm tag {tag!r}; known: {sorted(SCHEMAS)}")
-    schema = SCHEMAS[tag]
+    if tag not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm tag {tag!r}; known: {sorted(ALGORITHMS)}")
+    schema = ALGORITHMS[tag].schema
     params: dict = {}
     for raw in pairs:
         if "=" not in raw:
@@ -87,13 +68,16 @@ def parse_params(tag: str, pairs: list[str]) -> dict:
                               f"allowed: {sorted(schema)}")
         kind = schema[key][0]
         try:
-            params[key] = int(value) if kind == _INT else float(value)
+            params[key] = kind(value)
         except ValueError as exc:
-            raise ConfigError(f"parameter {key}={value!r} is not a {kind}") from exc
+            raise ConfigError(f"parameter {key}={value!r} is not a {kind.__name__}") from exc
     for key, (_, required) in schema.items():
         if required and key not in params:
             raise ConfigError(f"{tag} requires parameter {key}")
     return params
+
+
+_GEN_FIELDS = {"n": int, "p": float, "a": int, "max_deg": int, "seed": int}
 
 
 def parse_gen_spec(text: str) -> GeneratorSpec:
@@ -107,18 +91,9 @@ def parse_gen_spec(text: str) -> GeneratorSpec:
             if "=" not in item:
                 raise ConfigError(f"generator spec expects k=v items, got {item!r}")
             key, value = item.split("=", 1)
-            if key == "n":
-                fields["n"] = int(value)
-            elif key == "p":
-                fields["p"] = float(value)
-            elif key == "a":
-                fields["a"] = int(value)
-            elif key == "max_deg":
-                fields["max_deg"] = int(value)
-            elif key == "seed":
-                fields["seed"] = int(value)
-            else:
+            if key not in _GEN_FIELDS:
                 raise ConfigError(f"unknown generator field {key!r}")
+            fields[key] = _GEN_FIELDS[key](value)
     if "n" not in fields:
         raise ConfigError("generator spec requires n")
     spec = GeneratorSpec(kind=kind, **fields)
@@ -130,176 +105,200 @@ def parse_gen_spec(text: str) -> GeneratorSpec:
 
 
 # ---------------------------------------------------------------------------
-# runners: execute one algorithm + its checkers, return a report document
+# runners: each executes one algorithm and its checkers and returns
+# (report body, verdicts).  Runners look up the algorithm entry points and
+# verify.check_* by module-global name at call time, so a tracer that rebinds
+# those names sees every call.
 
 
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _label_budget_default(n: int, c: int) -> int:
-    return c * max(1, math.ceil(4 * math.log2(max(n, 2))))
-
-
-def _domains_payload(g: Graph, result, verdicts, extra_metrics=None) -> dict:
-    rep = verify.metrics(result.domains, rounds=result.report.comm_rounds,
-                         verdicts=tuple(verdicts))
-    doc = result.to_document()
-    doc["metrics"] = rep.to_document()
-    if extra_metrics:
-        doc["metrics"].update(extra_metrics)
+def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None = None,
+          failed=(), metrics: dict | None = None, **fields) -> dict:
+    """The shared report body: params, run, failed, the tag's own fields,
+    labels, metrics.  Given label domains, the metrics are verify.metrics over
+    them followed by the extra entries in ``metrics``; without, ``metrics`` is
+    the whole metrics document."""
+    doc = {"params": dict(params), "run": report.to_document(),
+           "failed": list(failed), **fields}
+    if labels is not None:
+        doc["labels"] = labels.to_document()
+        rep = verify.metrics(labels, rounds=report.comm_rounds, verdicts=tuple(verdicts))
+        metrics = {**rep.to_document(), **(metrics or {})}
+    doc["metrics"] = metrics
     return doc
 
 
-def run_algorithm(tag: str, g: Graph, seed: int, params: dict) -> dict:
-    """Run one algorithm and its automatic checker set; returns the document.
+def _random_coloring(g: Graph, seed: int, params: dict):
+    res = generic_random_coloring(g, c=params.get("c", 4.0), seed=seed,
+                                  delta_bound=params.get("delta"))
+    verdicts = [verify.check_domains_disjoint(g, res.domains)]
+    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
 
-    The document's "status" field is "ok", "verdict-failure", or "incomplete".
-    """
-    if tag == "random-coloring":
-        res = generic_random_coloring(g, c=params.get("c", 4.0), seed=seed,
-                                      delta_bound=params.get("delta"))
-        verdicts = [verify.check_domains_disjoint(g, res.domains)]
-        doc = _domains_payload(g, res, verdicts)
-    elif tag == "delta2-coloring":
-        res = generic_delta2_coloring(g, delta_bound=params.get("delta"),
-                                      master_seed=seed)
-        verdicts = [verify.check_domains_disjoint(g, res.domains)]
-        floor = max(1, params.get("delta") or g.max_degree or 1)
-        sizes_ok = res.domains.min_size >= floor
-        verdicts.append(verify.Verdict(
-            name="domain-floor", ok=sizes_ok,
-            status="ok" if sizes_ok else "violated",
-            detail=f"min domain {res.domains.min_size} vs floor {floor}"))
-        doc = _domains_payload(g, res, verdicts)
-    elif tag == "defective-coloring":
-        res = generic_defective_coloring(g, p=params["p"],
-                                         delta_bound=params.get("delta"),
-                                         master_seed=seed)
-        verdict, worst = verify.check_defective_domains(g, res.domains, params["p"])
-        verdicts = [verdict]
-        doc = _domains_payload(g, res, verdicts, {"measured_defect": worst})
-    elif tag == "cv3-expansion":
-        orientation = orient_forest(g)
-        colored = cole_vishkin_3coloring(g, orientation, master_seed=seed)
-        delta = params.get("delta") or max(g.max_degree, 1)
-        dom = expand_to_generic(colored.colors, delta)
-        verdicts = [verify.check_proper_vertex(g, colored.colors),
-                    verify.check_domains_disjoint(g, dom)]
-        rep = verify.metrics(dom, rounds=colored.report.comm_rounds,
-                             verdicts=tuple(verdicts))
-        doc = {
-            "params": {**colored.params, "delta": delta},
-            "run": colored.report.to_document(),
-            "failed": [],
-            "colors": list(colored.colors),
-            "labels": dom.to_document(),
-            "metrics": rep.to_document(),
-        }
-    elif tag == "network-decomposition":
-        c = params.get("c", 2)
-        res = generic_network_decomposition(g, c=c, seed=seed,
-                                            radius_cap=params.get("B"))
-        bound = 2 * res.params["radius_cap"]
-        budget = params.get("label_budget") or _label_budget_default(g.n, c)
-        verdict, measured = verify.check_network_decomposition(
-            g, res.domains, bound, budget)
-        verdicts = [verdict]
-        doc = _domains_payload(g, res, verdicts, {
-            "diameter_bound": bound,
-            "label_budget": budget,
-            **measured,
-        })
-    elif tag in ("forest-id", "forest-hpartition"):
-        if tag == "forest-id":
-            labeling, dom, report = forest_decomposition(g, mode="id", seed=seed)
-        else:
-            labeling, dom, report = forest_decomposition(
-                g, mode="h-partition", a=params["a"],
-                eps=params.get("eps", 1.0), seed=seed)
-        verdicts = [verify.check_forest_labeling(
-            g, labeling.edge_labels, labeling.assigner, labeling.forest_count)]
-        rep = verify.metrics(dom, rounds=report.comm_rounds, verdicts=tuple(verdicts))
-        doc = {
-            "params": {"forest_count": labeling.forest_count},
-            "run": report.to_document(),
-            "failed": [],
-            "edges": [
-                {"u": u, "v": v, "label": labeling.edge_labels[e],
-                 "assigner": labeling.assigner[e]}
-                for e, (u, v) in enumerate(g.edges)
-            ],
-            "labels": dom.to_document(),
-            "metrics": rep.to_document(),
-        }
-    elif tag == "arboricity-coloring":
-        res = arboricity_generic_coloring(g, a=params["a"],
-                                          eps=params.get("eps", 1.0),
-                                          c=params.get("c", 4.0), seed=seed)
-        verdicts = [verify.check_domains_disjoint(g, res.domains)]
-        doc = _domains_payload(g, res, verdicts)
-    elif tag in ("edge-random", "edge-delta2"):
-        variant = "random" if tag == "edge-random" else "delta2"
-        res = edge_coloring_via_line_graph(g, variant=variant,
-                                           c=params.get("c", 4.0), seed=seed)
-        verdicts = [verify.check_edge_domains_disjoint(g, res.domains)]
-        doc = _domains_payload(g, res, verdicts)
-    elif tag == "kuhn-edge":
-        res = kuhn_defective_edge_coloring(g, i=params["i"], seed=seed)
-        verdict, worst = verify.check_edge_defect(g, res.colors, res.defect_bound)
-        rep_dom = None
-        doc = {
-            "params": res.params,
-            "run": res.report.to_document(),
-            "failed": [],
-            "colors": list(res.colors),
-            "pairs": [list(p) for p in res.pairs],
-            "metrics": {
-                "problem_domain_size": res.palette_size,
-                "defect_bound": res.defect_bound,
-                "measured_defect": worst,
-                "rounds": res.report.comm_rounds,
-                "verdicts": [verdict.to_document()],
-            },
-        }
-        verdicts = [verdict]
-    elif tag == "dominating-edge":
-        res = dominating_edge_coloring(g, c=params.get("c", 3),
-                                       t=params.get("t", 3), seed=seed,
-                                       max_rounds=params.get("max_rounds"))
-        verdicts = [verify.check_edge_dominating(g, res.dominating)]
-        for cls in range(1, res.class_count + 1):
-            members = [e for e in sorted(res.dominating) if res.class_of[e] == cls]
-            sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
-            sub_ids = frozenset(range(sub.m))
-            covered = [False] * sub.n
-            ok = True
-            for u, v in sub.edges:
-                if covered[u] or covered[v]:
-                    ok = False
-                covered[u] = covered[v] = True
-            verdicts.append(verify.Verdict(
-                name=f"class-{cls}-matching", ok=ok,
-                status="ok" if ok else "violated"))
-        rep = verify.metrics(res.domains, rounds=res.report.comm_rounds,
-                             verdicts=tuple(verdicts))
-        doc = res.to_document()
-        doc["edges"] = [
-            {"u": u, "v": v, "in_dominating": e in res.dominating,
-             "class": res.class_of[e],
-             "domain": sorted(res.domains.domains[e]) if e in res.dominating else []}
-            for e, (u, v) in enumerate(g.edges)
-        ]
-        doc["metrics"] = rep.to_document()
-        doc["failed"] = []
-    else:
-        raise ConfigError(f"unknown algorithm tag {tag!r}")
 
-    incomplete = doc["run"]["incomplete"] or bool(doc.get("failed"))
-    all_ok = all(v.ok for v in verdicts)
-    doc["status"] = ("incomplete" if incomplete
-                     else "ok" if all_ok else "verdict-failure")
-    return doc
+def _delta2_coloring(g: Graph, seed: int, params: dict):
+    res = generic_delta2_coloring(g, delta_bound=params.get("delta"),
+                                  master_seed=seed)
+    floor = max(1, params.get("delta") or g.max_degree or 1)
+    verdicts = [verify.check_domains_disjoint(g, res.domains),
+                verify.check_domain_floor(res.domains, floor)]
+    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
+
+
+def _defective_coloring(g: Graph, seed: int, params: dict):
+    res = generic_defective_coloring(g, p=params["p"],
+                                     delta_bound=params.get("delta"),
+                                     master_seed=seed)
+    verdict, worst = verify.check_defective_domains(g, res.domains, params["p"])
+    return _body(res.params, res.report, [verdict], res.domains, res.failed,
+                 {"measured_defect": worst}), [verdict]
+
+
+def _cv3_expansion(g: Graph, seed: int, params: dict):
+    colored = cole_vishkin_3coloring(g, orient_forest(g), master_seed=seed)
+    delta = params.get("delta") or max(g.max_degree, 1)
+    dom = expand_to_generic(colored.colors, delta)
+    verdicts = [verify.check_proper_vertex(g, colored.colors),
+                verify.check_domains_disjoint(g, dom)]
+    return _body({**colored.params, "delta": delta}, colored.report, verdicts, dom,
+                 colors=list(colored.colors)), verdicts
+
+
+def _network_decomposition(g: Graph, seed: int, params: dict):
+    c = params.get("c", 2)
+    res = generic_network_decomposition(g, c=c, seed=seed,
+                                        radius_cap=params.get("B"))
+    bound = 2 * res.params["radius_cap"]
+    budget = (params.get("label_budget")
+              or c * max(1, math.ceil(4 * math.log2(max(g.n, 2)))))
+    verdict, measured = verify.check_network_decomposition(
+        g, res.domains, bound, budget)
+    return _body(res.params, res.report, [verdict], res.domains, res.failed, {
+        "diameter_bound": bound,
+        "label_budget": budget,
+        **measured,
+    }), [verdict]
+
+
+def _forest(g: Graph, seed: int, params: dict, mode: str):
+    labeling, dom, report = forest_decomposition(
+        g, mode=mode, a=params.get("a"), eps=params.get("eps", 1.0), seed=seed)
+    verdicts = [verify.check_forest_labeling(
+        g, labeling.edge_labels, labeling.assigner, labeling.forest_count)]
+    edges = [
+        {"u": u, "v": v, "label": labeling.edge_labels[e],
+         "assigner": labeling.assigner[e]}
+        for e, (u, v) in enumerate(g.edges)
+    ]
+    return _body({"forest_count": labeling.forest_count}, report, verdicts, dom,
+                 edges=edges), verdicts
+
+
+def _arboricity_coloring(g: Graph, seed: int, params: dict):
+    res = arboricity_generic_coloring(g, a=params["a"],
+                                      eps=params.get("eps", 1.0),
+                                      c=params.get("c", 4.0), seed=seed)
+    verdicts = [verify.check_domains_disjoint(g, res.domains)]
+    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
+
+
+def _line_graph_coloring(g: Graph, seed: int, params: dict, variant: str):
+    res = edge_coloring_via_line_graph(g, variant=variant,
+                                       c=params.get("c", 4.0), seed=seed)
+    verdicts = [verify.check_edge_domains_disjoint(g, res.domains)]
+    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
+
+
+def _kuhn_edge(g: Graph, seed: int, params: dict):
+    res = kuhn_defective_edge_coloring(g, i=params["i"], seed=seed)
+    verdict, worst = verify.check_edge_defect(g, res.colors, res.defect_bound)
+    metrics = {
+        "problem_domain_size": res.palette_size,
+        "defect_bound": res.defect_bound,
+        "measured_defect": worst,
+        "rounds": res.report.comm_rounds,
+        "verdicts": [verdict.to_document()],
+    }
+    return _body(res.params, res.report, [verdict], metrics=metrics,
+                 colors=list(res.colors), pairs=[list(p) for p in res.pairs]), [verdict]
+
+
+def _dominating_edge(g: Graph, seed: int, params: dict):
+    res = dominating_edge_coloring(g, c=params.get("c", 3),
+                                   t=params.get("t", 3), seed=seed,
+                                   max_rounds=params.get("max_rounds"))
+    verdicts = [verify.check_edge_dominating(g, res.dominating)]
+    for cls in range(1, res.class_count + 1):
+        members = [e for e in sorted(res.dominating) if res.class_of[e] == cls]
+        sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
+        verdicts.append(replace(verify.check_matching(sub, range(sub.m)),
+                                name=f"class-{cls}-matching", detail=""))
+    doc = _body(res.params, res.report, verdicts, res.domains,
+                dominating=sorted(res.dominating), class_of=list(res.class_of))
+    # this report's key order puts edges after labels and failed last
+    failed, metrics = doc.pop("failed"), doc.pop("metrics")
+    doc["edges"] = [
+        {"u": u, "v": v, "in_dominating": e in res.dominating,
+         "class": res.class_of[e],
+         "domain": sorted(res.domains.domains[e]) if e in res.dominating else []}
+        for e, (u, v) in enumerate(g.edges)
+    ]
+    doc.update(metrics=metrics, failed=failed)
+    return doc, verdicts
+
+
+class Algorithm(NamedTuple):
+    """One algorithm tag: its ``--param`` schema {param: (type, required)},
+    its runner (graph, seed, params) -> (report body, verdicts), and the
+    name, generator spec and params of its row in the built-in bench suite."""
+
+    schema: dict[str, tuple[type, bool]]
+    run: Callable[[Graph, int, dict], tuple[dict, list]]
+    name: str
+    gen: str
+    bench_params: dict = {}
+
+
+# Registry order is the row order of the built-in bench suite.
+ALGORITHMS: dict[str, Algorithm] = {
+    "cv3-expansion": Algorithm(
+        {"delta": (int, False)}, _cv3_expansion,
+        "3-coloring expansion (oriented trees)", "random-tree:n=512,max_deg=8"),
+    "random-coloring": Algorithm(
+        {"c": (float, False), "delta": (int, False)}, _random_coloring,
+        "one-round random coloring", "gnp:n=256,p=0.02"),
+    "delta2-coloring": Algorithm(
+        {"delta": (int, False)}, _delta2_coloring,
+        "quadratic-palette coloring", "gnp:n=256,p=0.02"),
+    "defective-coloring": Algorithm(
+        {"p": (int, True), "delta": (int, False)}, _defective_coloring,
+        "defective coloring", "gnp:n=256,p=0.04", {"p": 2}),
+    "arboricity-coloring": Algorithm(
+        {"a": (int, True), "eps": (float, False), "c": (float, False)},
+        _arboricity_coloring,
+        "bounded-arboricity coloring", "forest-union:n=256,a=2", {"a": 2}),
+    "network-decomposition": Algorithm(
+        {"c": (int, False), "B": (int, False), "label_budget": (int, False)},
+        _network_decomposition,
+        "network decomposition", "gnp:n=256,p=0.023", {"c": 2}),
+    "forest-id": Algorithm(
+        {}, partial(_forest, mode="id"),
+        "forest decomposition (id)", "gnp:n=256,p=0.02"),
+    "forest-hpartition": Algorithm(
+        {"a": (int, True), "eps": (float, False)}, partial(_forest, mode="h-partition"),
+        "forest decomposition (peeling)", "forest-union:n=256,a=2", {"a": 2}),
+    "edge-random": Algorithm(
+        {"c": (float, False)}, partial(_line_graph_coloring, variant="random"),
+        "edge coloring (random, line graph)", "gnp:n=128,p=0.04"),
+    "edge-delta2": Algorithm(
+        {}, partial(_line_graph_coloring, variant="delta2"),
+        "edge coloring (quadratic, line graph)", "gnp:n=128,p=0.04"),
+    "kuhn-edge": Algorithm(
+        {"i": (int, True)}, _kuhn_edge,
+        "defective edge coloring", "gnp:n=256,p=0.04", {"i": 2}),
+    "dominating-edge": Algorithm(
+        {"c": (int, False), "t": (int, False), "max_rounds": (int, False)},
+        _dominating_edge,
+        "dominating-set edge coloring", "gnp:n=256,p=0.02"),
+}
 
 
 def _graph_from_args(args, seed: int) -> tuple[Graph, dict]:
@@ -310,8 +309,7 @@ def _graph_from_args(args, seed: int) -> tuple[Graph, dict]:
     elif getattr(args, "gen", None):
         spec = parse_gen_spec(args.gen)
         if "seed=" not in args.gen:
-            spec = GeneratorSpec(kind=spec.kind, n=spec.n, p=spec.p, a=spec.a,
-                                 max_deg=spec.max_deg, seed=seed)
+            spec = replace(spec, seed=seed)
         g = generate(spec)
         source = {"kind": "generator", "spec": args.gen, "seed": spec.seed}
     else:
@@ -320,7 +318,14 @@ def _graph_from_args(args, seed: int) -> tuple[Graph, dict]:
 
 
 def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> dict:
-    body = run_algorithm(tag, g, seed, params)
+    """Run one algorithm and its checkers; the report's "status" field is
+    "ok", "verdict-failure", or "incomplete"."""
+    if tag not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm tag {tag!r}")
+    body, verdicts = ALGORITHMS[tag].run(g, seed, params)
+    incomplete = body["run"]["incomplete"] or bool(body["failed"])
+    status = ("incomplete" if incomplete
+              else "ok" if all(v.ok for v in verdicts) else "verdict-failure")
     return {
         "schema": "genlabel-report-v1",
         "algorithm": tag,
@@ -332,6 +337,7 @@ def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> d
             "max_degree": g.max_degree,
         },
         **body,
+        "status": status,
     }
 
 
@@ -356,8 +362,7 @@ def report_to_csv(doc: dict) -> str:
     return ",".join(header) + "\n" + ",".join(row) + "\n"
 
 
-def _emit(doc: dict, out: str | None, fmt: str) -> None:
-    payload = (json.dumps(doc, indent=2) + "\n") if fmt == "json" else report_to_csv(doc)
+def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload)
     else:
@@ -379,7 +384,8 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(doc, args.out, args.format)
+    _emit((json.dumps(doc, indent=2) + "\n") if args.format == "json"
+          else report_to_csv(doc), args.out)
     if doc["status"] == "incomplete":
         return EXIT_INCOMPLETE
     if doc["status"] == "verdict-failure":
@@ -391,32 +397,9 @@ def cmd_run(args) -> int:
 # bench mode
 
 
-DEFAULT_SUITE = [
-    {"name": "3-coloring expansion (oriented trees)", "algo": "cv3-expansion",
-     "gen": "random-tree:n=512,max_deg=8", "seeds": [0, 1], "params": {}},
-    {"name": "one-round random coloring", "algo": "random-coloring",
-     "gen": "gnp:n=256,p=0.02", "seeds": [0, 1], "params": {}},
-    {"name": "quadratic-palette coloring", "algo": "delta2-coloring",
-     "gen": "gnp:n=256,p=0.02", "seeds": [0, 1], "params": {}},
-    {"name": "defective coloring", "algo": "defective-coloring",
-     "gen": "gnp:n=256,p=0.04", "seeds": [0, 1], "params": {"p": 2}},
-    {"name": "bounded-arboricity coloring", "algo": "arboricity-coloring",
-     "gen": "forest-union:n=256,a=2", "seeds": [0, 1], "params": {"a": 2}},
-    {"name": "network decomposition", "algo": "network-decomposition",
-     "gen": "gnp:n=256,p=0.023", "seeds": [0, 1], "params": {"c": 2}},
-    {"name": "forest decomposition (id)", "algo": "forest-id",
-     "gen": "gnp:n=256,p=0.02", "seeds": [0, 1], "params": {}},
-    {"name": "forest decomposition (peeling)", "algo": "forest-hpartition",
-     "gen": "forest-union:n=256,a=2", "seeds": [0, 1], "params": {"a": 2}},
-    {"name": "edge coloring (random, line graph)", "algo": "edge-random",
-     "gen": "gnp:n=128,p=0.04", "seeds": [0, 1], "params": {}},
-    {"name": "edge coloring (quadratic, line graph)", "algo": "edge-delta2",
-     "gen": "gnp:n=128,p=0.04", "seeds": [0, 1], "params": {}},
-    {"name": "defective edge coloring", "algo": "kuhn-edge",
-     "gen": "gnp:n=256,p=0.04", "seeds": [0, 1], "params": {"i": 2}},
-    {"name": "dominating-set edge coloring", "algo": "dominating-edge",
-     "gen": "gnp:n=256,p=0.02", "seeds": [0, 1], "params": {}},
-]
+DEFAULT_SUITE = [{"name": entry.name, "algo": tag, "gen": entry.gen, "seeds": [0, 1],
+                  "params": dict(entry.bench_params)}
+                 for tag, entry in ALGORITHMS.items()]
 
 
 def cmd_bench(args) -> int:
@@ -442,9 +425,7 @@ def cmd_bench(args) -> int:
             contingency = ""
             ok_runs = 0
             for seed in seeds:
-                gspec = GeneratorSpec(kind=spec.kind, n=spec.n, p=spec.p,
-                                      a=spec.a, max_deg=spec.max_deg, seed=seed)
-                g = generate(gspec)
+                g = generate(replace(spec, seed=seed))
                 doc = build_report(tag, g, {"kind": "generator",
                                             "spec": entry["gen"], "seed": seed},
                                    seed, params)
@@ -472,11 +453,7 @@ def cmd_bench(args) -> int:
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     for r in rows:
         lines.append("  ".join(str(r[i]).ljust(widths[i]) for i in range(len(header))))
-    table = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(table)
-    else:
-        sys.stdout.write(table)
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_VERDICT if any_failure else EXIT_OK
 
 
@@ -487,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification.")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one algorithm and verify its output")
-    run.add_argument("--algo", required=True, choices=sorted(SCHEMAS))
+    run.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="edge-list file")
     src.add_argument("--gen", help="generator spec, e.g. gnp:n=1024,p=0.01")

@@ -16,13 +16,14 @@ the floods it actually simulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import Graph, Orientation
+from .graphs import Graph, Orientation, orient_by_id
 from .labels import LabelDomain, draw_count
 from .results import DomainsResult
 from .rng import derive_stream, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
+from .vertex_coloring import draw_and_prune
 
 
 class ArboricityError(ValueError):
@@ -35,10 +36,6 @@ class ArboricityError(ValueError):
 
 def default_radius_cap(n: int) -> int:
     return max(1, math.ceil(2 * math.log2(max(n, 2))))
-
-
-def default_phase_budget(n: int) -> int:
-    return max(8, math.ceil(8 * math.log2(max(n, 2))))
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
 
 
 def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None,
-                phase_budget: int | None = None, engine: str = "fast") -> Clustering:
+                engine: str = "fast") -> Clustering:
     """One weak-diameter clustering execution.
 
     Every vertex lands in exactly one cluster whose members sit within
@@ -188,7 +185,7 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None,
     cap = default_radius_cap(g.n) if radius_cap is None else radius_cap
     if cap < 1:
         raise ValueError(f"radius cap must be >= 1, got {cap}")
-    budget = default_phase_budget(g.n) if phase_budget is None else phase_budget
+    budget = max(8, math.ceil(8 * math.log2(max(g.n, 2))))  # phases before giving up
     if engine == "program":
         return _linial_saks_program(g, seed, cap, budget)
     if engine == "fast":
@@ -197,8 +194,7 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None,
 
 
 def generic_network_decomposition(g: Graph, c: int, seed: int = 0,
-                                  radius_cap: int | None = None,
-                                  engine: str = "fast") -> DomainsResult:
+                                  radius_cap: int | None = None) -> DomainsResult:
     """Run c independent clustering executions simultaneously; vertex v's
     domain is {(execution i, cluster of v in run i)}, always of size c.
 
@@ -211,7 +207,7 @@ def generic_network_decomposition(g: Graph, c: int, seed: int = 0,
         raise ValueError(f"c must be at least 2, got {c}")
     cap = default_radius_cap(g.n) if radius_cap is None else radius_cap
     runs = [
-        linial_saks(g, seed=subseed(seed, 0x6E64, i), radius_cap=cap, engine=engine)
+        linial_saks(g, seed=subseed(seed, 0x6E64, i), radius_cap=cap)
         for i in range(1, c + 1)
     ]
     failed = sorted({v for run in runs for v in run.failed})
@@ -259,10 +255,6 @@ class HPartition:
     threshold: float
     orientation: Orientation
     rounds: int  # one simulated round per peeled layer
-
-    @property
-    def max_out_degree_bound(self) -> int:
-        return int(self.threshold)
 
 
 def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
@@ -378,8 +370,6 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 e = g.edge_id(v, u)
                 labels[e] = num
                 assigner[e] = v
-        from .graphs import orient_by_id
-
         labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count,
                                   orient_by_id(g))
         return labeling, labeling.domain(), report
@@ -409,60 +399,23 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
     raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
 
 
-class _ArboricityColoringProgram(NodeProgram):
-    """Draw k tagged values from [2A], send them down the orientation, and
-    drop anything received from a parent.  Each edge has one direction, so
-    adjacent surviving sets are disjoint outright."""
-
-    def __init__(self, k: int, value_range: int, children: list[tuple[int, ...]],
-                 parent_count: list[int]):
-        self.k = k
-        self.value_range = value_range
-        self.children = children
-        self.parent_count = parent_count
-
-    def init(self, ctx: NodeContext):
-        return None
-
-    def step(self, ctx: NodeContext, state, inbox):
-        if state is None:
-            values = ctx.rng.draw_many(self.k, self.value_range)
-            picks = frozenset(i * self.value_range + x for i, x in enumerate(values))
-            kids = self.children[ctx.node]
-            halt = self.parent_count[ctx.node] == 0
-            return picks, [(u, picks) for u in kids], halt
-        kept = state
-        for _, theirs in inbox:
-            kept -= theirs
-        return kept, [], True
-
-    def output(self, ctx: NodeContext, state):
-        return tuple(sorted(state))
-
-
 def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
                                 c: float = 4.0, seed: int = 0) -> DomainsResult:
     """Generic coloring for arboricity-a graphs: acyclic low-out-degree
     orientation via the peeling partition, then one round of parent-to-child
-    color-set pruning.  Palette 2*floor((2+eps)*a)*k."""
+    color-set pruning.  Each edge has one direction, so adjacent surviving
+    sets are disjoint outright.  Palette 2*floor((2+eps)*a)*k."""
     hp = h_partition(g, a, eps)
     bound = math.floor((2 + eps) * a)
     k = draw_count(c, g.n)
     value_range = 2 * bound
     orientation = hp.orientation
     children: list[list[int]] = [[] for _ in range(g.n)]
-    parent_count = [0] * g.n
     for v in range(g.n):
         for e in orientation.out_edges(v):
             children[orientation.target[e]].append(v)
-            parent_count[v] += 1
-    program = _ArboricityColoringProgram(
-        k, value_range, [tuple(ch) for ch in children], parent_count)
-    report = run_sync(program, g, seed)
-    domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
-    failed = tuple(v for v in range(g.n) if not domains[v])
-    dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
-                      stride=value_range)
+    roots = frozenset(v for v in range(g.n) if not orientation.out_degree(v))
+    dom, report, failed = draw_and_prune(g, seed, k, value_range, children, roots)
     params = {
         "a": a,
         "eps": eps,

@@ -301,15 +301,6 @@ class DominatingColoredSet:
     report: RunReport
     params: dict = field(default_factory=dict)
 
-    def to_document(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "run": self.report.to_document(),
-            "dominating": sorted(self.dominating),
-            "class_of": list(self.class_of),
-            "labels": self.domains.to_document(),
-        }
-
 
 def edge_class_of_color(color: int, class_width: int) -> int:
     """1-based class index of a base color under the palette partition."""

@@ -59,14 +59,8 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adjacency), default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[(u, v) if u < v else (v, u)]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
 
 
 def load_edge_list(text: str) -> Graph:
@@ -263,9 +257,6 @@ class Orientation:
 
     def out_degree(self, v: int) -> int:
         return len(self._out[v])
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.target[e] for e in self._out[v])
 
     @property
     def max_out_degree(self) -> int:

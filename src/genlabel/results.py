@@ -21,18 +21,6 @@ class DomainsResult:
     params: dict = field(default_factory=dict)
     failed: tuple[int, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.failed and not self.report.incomplete
-
-    def to_document(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "run": self.report.to_document(),
-            "failed": list(self.failed),
-            "labels": self.domains.to_document(),
-        }
-
 
 @dataclass(frozen=True)
 class ColoringResult:
@@ -41,10 +29,3 @@ class ColoringResult:
     colors: tuple[int, ...]
     report: RunReport
     params: dict = field(default_factory=dict)
-
-    def to_document(self) -> dict:
-        return {
-            "params": dict(self.params),
-            "run": self.report.to_document(),
-            "colors": list(self.colors),
-        }

@@ -60,9 +60,24 @@ class Stream:
         """Uniform integer in [0, bound), by rejection sampling."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
+        if bound > 1 << 64:
+            return self._draw_wide(bound)
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             r = self.draw_u64()
+            if r < limit:
+                return r % bound
+
+    def _draw_wide(self, bound: int) -> int:
+        """Uniform integer in [0, bound) for bound > 2**64: rejection over
+        several 64-bit words, the first word most significant."""
+        words = -(-(bound - 1).bit_length() // 64)
+        span = 1 << (64 * words)
+        limit = span - span % bound
+        while True:
+            r = 0
+            for _ in range(words):
+                r = (r << 64) | self.draw_u64()
             if r < limit:
                 return r % bound
 
@@ -70,6 +85,8 @@ class Stream:
         """``count`` independent uniform draws from [0, bound)."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
+        if bound > 1 << 64:
+            return [self._draw_wide(bound) for _ in range(count)]
         base = self._base
         ctr = self.counter
         limit = (1 << 64) - ((1 << 64) % bound)

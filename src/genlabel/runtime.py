@@ -36,10 +36,6 @@ class NodeContext:
         self.max_degree = max_degree
         self.rng = rng
 
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
 
 class NodeProgram:
     """Base class for per-node programs run by ``run_sync``.

@@ -81,9 +81,7 @@ def check_edge_properness(g: Graph, edge_labels) -> Verdict:
     return _ok(name)
 
 
-def check_domains_disjoint(g: Graph, dom: LabelDomain,
-                           selection_budget: int = EXHAUSTIVE_SELECTION_BUDGET,
-                           sample_seed: int = 0) -> Verdict:
+def check_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
     """Adjacent entities must hold disjoint label sets.
 
     On graphs with n <= 8 the structural condition is cross-validated against
@@ -105,7 +103,7 @@ def check_domains_disjoint(g: Graph, dom: LabelDomain,
                             f"vertices {u},{v} share label {min(shared)}", [u, v])
             break
     if g.n <= 8:
-        sweep_proper = _selection_sweep(g, dom, selection_budget, sample_seed)
+        sweep_proper = _selection_sweep(g, dom)
         if sweep_proper != verdict.ok:
             return _fail(name, "violated",
                          "structural verdict disagrees with joint-selection sweep",
@@ -113,7 +111,7 @@ def check_domains_disjoint(g: Graph, dom: LabelDomain,
     return verdict
 
 
-def _selection_sweep(g: Graph, dom: LabelDomain, budget: int, sample_seed: int) -> bool:
+def _selection_sweep(g: Graph, dom: LabelDomain) -> bool:
     """True iff every tested joint selection is a proper labeling."""
     from itertools import product
 
@@ -121,15 +119,23 @@ def _selection_sweep(g: Graph, dom: LabelDomain, budget: int, sample_seed: int) 
     space = 1
     for p in pools:
         space *= max(len(p), 1)
-        if space > budget:
+        if space > EXHAUSTIVE_SELECTION_BUDGET:
             break
-    if space <= budget:
+    if space <= EXHAUSTIVE_SELECTION_BUDGET:
         picks = product(*pools)
     else:
-        rng = derive_stream(subseed(sample_seed, 0x73656C), 0)
+        rng = derive_stream(subseed(0, 0x73656C), 0)
         picks = ([pool[rng.draw_uniform(len(pool))] for pool in pools]
                  for _ in range(SAMPLED_SELECTIONS))
     return all(check_proper_vertex(g, list(pick)).ok for pick in picks)
+
+
+def check_domain_floor(dom: LabelDomain, floor: int) -> Verdict:
+    """Every entity's domain must hold at least ``floor`` labels; an empty
+    entity set passes vacuously."""
+    ok = not dom.domains or dom.min_size >= floor
+    return Verdict(name="domain-floor", ok=ok, status="ok" if ok else "violated",
+                   detail=f"min domain {dom.min_size} vs floor {floor}")
 
 
 def check_edge_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
@@ -365,10 +371,6 @@ class MetricsReport:
     contingency_factor: Fraction
     rounds: int | None = None
     verdicts: tuple[Verdict, ...] = field(default=())
-
-    @property
-    def all_ok(self) -> bool:
-        return all(v.ok for v in self.verdicts)
 
     def to_document(self) -> dict:
         cf = self.contingency_factor

@@ -16,7 +16,7 @@ from .coverfree import PolyFamily, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
-from .runtime import NodeContext, NodeProgram, run_sync
+from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 # ---------------------------------------------------------------------------
 # 3-coloring of oriented forests and its domain expansion
@@ -136,12 +136,16 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
 # one-round random coloring
 
 
-class _RandomColoringProgram(NodeProgram):
-    """Draw k tagged values, exchange once, drop anything a neighbor also drew."""
+class _DrawPruneProgram(NodeProgram):
+    """Draw k tagged values, send them to ``receivers[v]``, and drop anything
+    received.  A node in ``quiet`` is sent nothing, so it halts right after
+    its draw; every other node waits one round for its inbox."""
 
-    def __init__(self, k: int, value_range: int):
+    def __init__(self, k: int, value_range: int, receivers, quiet: frozenset):
         self.k = k
         self.value_range = value_range
+        self.receivers = receivers
+        self.quiet = quiet
 
     def init(self, ctx: NodeContext):
         return None
@@ -150,7 +154,8 @@ class _RandomColoringProgram(NodeProgram):
         if state is None:
             values = ctx.rng.draw_many(self.k, self.value_range)
             picks = frozenset(i * self.value_range + x for i, x in enumerate(values))
-            return picks, [(u, picks) for u in ctx.neighbors], False
+            node = ctx.node
+            return picks, [(u, picks) for u in self.receivers[node]], node in self.quiet
         kept = state
         for _, theirs in inbox:
             kept -= theirs
@@ -158,6 +163,18 @@ class _RandomColoringProgram(NodeProgram):
 
     def output(self, ctx: NodeContext, state):
         return tuple(sorted(state))
+
+
+def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
+                   quiet: frozenset) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
+    """Run the draw-and-prune round; returns the surviving vertex domains
+    (palette value_range*k), the run report, and the vertices left empty."""
+    report = run_sync(_DrawPruneProgram(k, value_range, receivers, quiet), g, seed)
+    domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
+    failed = tuple(v for v in range(g.n) if not domains[v])
+    dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
+                      stride=value_range)
+    return dom, report, failed
 
 
 def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
@@ -176,17 +193,24 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
     delta = max(delta, 1)
     k = draw_count(c, g.n)
     value_range = 2 * delta
-    report = run_sync(_RandomColoringProgram(k, value_range), g, seed)
-    domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
-    failed = tuple(v for v in range(g.n) if not domains[v])
-    dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
-                      stride=value_range)
+    dom, report, failed = draw_and_prune(g, seed, k, value_range, g.adjacency, frozenset())
     params = {"c": c, "k": k, "delta": delta, "value_range": value_range}
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)
 
 
 # ---------------------------------------------------------------------------
 # cover-free reduction pipeline (proper and defective variants)
+
+
+def _reduce_color(fam: PolyFamily, node: int, color: int, neighbor_colors) -> int:
+    """The smallest element of ``color``'s set that no neighbor's set covers."""
+    mine = set(fam.set_elements(color))
+    for theirs in neighbor_colors:
+        mine -= fam.set_elements(theirs)
+    if not mine:
+        raise ValueError(
+            f"vertex {node}: no uncovered element left; input coloring improper?")
+    return min(mine)
 
 
 def _iroot_ceil(n: int, k: int) -> int:
@@ -248,16 +272,8 @@ class _PipelineProgram(NodeProgram):
         r, color, domain = state
         t = len(self.steps)
         if 1 <= r <= t:
-            fam = self.families[r - 1]
-            mine = set(fam.set_elements(color))
-            for _, their_color in inbox:
-                if their_color != color:
-                    mine -= fam.set_elements(their_color)
-            if not mine:
-                raise ValueError(
-                    f"vertex {ctx.node}: no uncovered element left; "
-                    "input coloring was not proper")
-            color = min(mine)
+            color = _reduce_color(self.families[r - 1], ctx.node, color,
+                                  [c for _, c in inbox])
         if r == t + 1:
             counts: dict[int, int] = {}
             for _, their_color in inbox:
@@ -323,16 +339,8 @@ def linial_reduce_round(g: Graph, colors, fam: PolyFamily) -> list[int]:
         raise ValueError(
             f"family tolerates {fam.cover_free_degree} covering sets, "
             f"graph degree is {g.max_degree}")
-    fresh = []
-    for v in range(g.n):
-        mine = set(fam.set_elements(colors[v]))
-        for u in g.adjacency[v]:
-            mine -= fam.set_elements(colors[u])
-        if not mine:
-            raise ValueError(
-                f"vertex {v}: no uncovered element left; input coloring improper?")
-        fresh.append(min(mine))
-    return fresh
+    return [_reduce_color(fam, v, colors[v], [colors[u] for u in g.adjacency[v]])
+            for v in range(g.n)]
 
 
 def generic_delta2_coloring(g: Graph, delta_bound: int | None = None,

@@ -1,15 +1,18 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import genlabel
 from genlabel.cli import (
+    ALGORITHMS,
     DEFAULT_SUITE,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERDICT,
-    SCHEMAS,
     build_parser,
     cmd_bench,
     cmd_run,
@@ -47,7 +50,7 @@ class TestParsing:
             parse_params("kuhn-edge", [])
 
     def test_every_algorithm_has_schema_and_runs(self):
-        assert len(SCHEMAS) == 12
+        assert len(ALGORITHMS) == 12
 
 
 class TestRun:
@@ -127,7 +130,8 @@ class TestRun:
         assert code == EXIT_VERDICT
 
     def test_all_algorithms_reachable(self, tmp_path):
-        """Every registered tag executes end to end from the CLI."""
+        """Every registered tag executes end to end from the CLI, on a small
+        graph and on the empty graph."""
         gens = {
             "cv3-expansion": "random-tree:n=32",
             "arboricity-coloring": "forest-union:n=32,a=2",
@@ -139,19 +143,20 @@ class TestRun:
             "arboricity-coloring": ["--param", "a=2"],
             "forest-hpartition": ["--param", "a=2"],
         }
-        for tag in SCHEMAS:
-            out = tmp_path / f"{tag}.json"
-            argv = ["run", "--algo", tag, "--gen", gens.get(tag, "gnp:n=32,p=0.1"),
-                    "--seed", "1", "--out", str(out)]
-            argv += params.get(tag, [])
-            assert main(argv) == EXIT_OK, tag
-            doc = json.loads(out.read_text())
-            assert doc["status"] == "ok"
+        for tag in ALGORITHMS:
+            for gen in (gens.get(tag, "gnp:n=32,p=0.1"), "path:n=0"):
+                out = tmp_path / f"{tag}.json"
+                argv = ["run", "--algo", tag, "--gen", gen,
+                        "--seed", "1", "--out", str(out)]
+                argv += params.get(tag, [])
+                assert main(argv) == EXIT_OK, (tag, gen)
+                doc = json.loads(out.read_text())
+                assert doc["status"] == "ok"
 
 
 class TestBench:
     def test_default_suite_covers_all_tags(self):
-        assert {row["algo"] for row in DEFAULT_SUITE} == set(SCHEMAS)
+        assert {row["algo"] for row in DEFAULT_SUITE} == set(ALGORITHMS)
         assert len(DEFAULT_SUITE) >= 10
 
     def test_empty_suite_zero_exit(self, tmp_path, capsys):
@@ -175,9 +180,11 @@ class TestBench:
         assert "good" in table and "1/1" in table
 
     def test_console_entry_point(self):
+        src = Path(genlabel.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "genlabel.cli", "run", "--algo",
              "random-coloring", "--gen", "gnp:n=16,p=0.2", "--seed", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "ok"

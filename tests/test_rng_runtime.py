@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genlabel
 from genlabel import Graph, GeneratorSpec, derive_stream, generate, run_sync, subseed
 from genlabel.runtime import NodeProgram
 
@@ -27,6 +33,27 @@ class TestStreams:
         a = derive_stream(9, 4)
         b = derive_stream(9, 4)
         assert a.draw_many(100, 7) == [b.draw_uniform(7) for _ in range(100)]
+
+    def test_bounds_above_two_to_the_64_terminate(self):
+        """Draws wider than one 64-bit word once looped forever.  They run in a
+        child process, so a regression fails on the timeout instead of hanging
+        the suite; a bound of exactly 2**64 stays a single raw word."""
+        a, b = derive_stream(9, 4), derive_stream(9, 4)
+        assert a.draw_many(5, 2**64) == [b.draw_u64() for _ in range(5)]
+        code = (
+            "from genlabel import build_poly_family, derive_stream, verify_cover_free\n"
+            "s = derive_stream(0, 0)\n"
+            "assert 0 <= s.draw_uniform(2**64 + 1) < 2**64 + 1\n"
+            "values = s.draw_many(3, 2**70)\n"
+            "assert len(values) == 3 and all(0 <= x < 2**70 for x in values)\n"
+            "fam = build_poly_family(9, 101)\n"
+            "assert verify_cover_free(fam, 2, mode='sampled', trials=100).ok\n"
+        )
+        src = Path(genlabel.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 1000), st.integers(2, 97))
     @settings(max_examples=50, deadline=None)
