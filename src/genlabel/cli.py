@@ -417,7 +417,8 @@ def cmd_bench(args) -> int:
         name = entry.get("name", entry.get("algo", "?"))
         try:
             tag = entry["algo"]
-            params = {k: v for k, v in entry.get("params", {}).items()}
+            params = parse_params(tag, [f"{k}={v}" for k, v in
+                                        entry.get("params", {}).items()])
             seeds = entry.get("seeds", [0])
             spec = parse_gen_spec(entry["gen"])
             worst_rounds = 0

@@ -9,8 +9,11 @@ cluster label lie within 2B of each other in the original graph.
 
 Two interchangeable engines compute it: a message-passing node program (the
 round-model reference) and a centralized sweep that produces the identical
-clustering from the same seeds; the sweep's message accounting covers only
-the floods it actually simulates.
+clustering from the same seeds.  The sweep prunes its floods: within a phase
+it expands a vertex only for a remaining radius larger than any earlier flood
+brought there, since a smaller one reaches only vertices already claimed.
+Its message count is the number of expansions it simulates, each a distinct
+message of the node program, so it never exceeds the program's count.
 """
 
 from __future__ import annotations
@@ -117,52 +120,72 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
     a bounded BFS through this phase's active vertices claims every vertex
     for the first (hence maximal) candidacy that reaches it, which is exactly
     the program's max-of-heard rule.  The sweep stops early once every active
-    vertex is claimed, so message totals reflect only the simulated floods.
+    vertex is claimed.
+
+    Pruning: ``best[u]`` is the largest remaining radius with which any flood
+    of this phase has expanded u.  A later flood that reaches u with no more
+    than that stops there: everything it could reach through u lies within
+    ``best[u]`` of u and is already claimed by an earlier, larger candidacy.
+    So a vertex claimed first by w is reached along an unpruned shortest path
+    and its recorded depth is its true distance.  Retired vertices hold a
+    ``best`` no flood can beat.  ``messages_total`` counts the expansions the
+    sweep simulates; each is a distinct message of the node program, so it
+    never exceeds the program's count.  ``best[u]`` only rises through values
+    below the cap, so a phase costs at most ``radius_cap * n`` messages.
     """
     n = g.n
     streams = [derive_stream(seed, v) for v in range(n)]
     clusters: list[tuple[int, int] | None] = [None] * n
-    active = set(range(n))
     adjacency = g.adjacency
+    best = [-1] * n
+    radius = [0] * n
+    center_of = [0] * n
+    dist_of = [0] * n
+    active = list(range(n))  # kept sorted
     messages = 0
     phases_run = 0
     for phase in range(phase_budget):
         if not active:
             break
         phases_run = phase + 1
-        radii = {v: streams[v].geometric(radius_cap) for v in sorted(active)}
-        claimed: dict[int, tuple[int, int]] = {}  # v -> (center, dist)
-        order = sorted(((radii[v], v) for v in active), reverse=True)
-        for r_w, w in order:
-            if len(claimed) == len(active):
+        for v in active:
+            radius[v] = streams[v].geometric(radius_cap)
+            best[v] = -1
+            center_of[v] = -1
+        unclaimed = len(active)
+        for r_w, w in sorted(((radius[v], v) for v in active), reverse=True):
+            if not unclaimed:
                 break
-            if w not in claimed:
-                claimed[w] = (w, 0)
-            if r_w < 1:
+            if center_of[w] < 0:
+                center_of[w] = w
+                dist_of[w] = 0
+                unclaimed -= 1
+            if r_w <= best[w]:
                 continue
-            dist = {w: 0}
+            best[w] = r_w
             frontier = [w]
-            depth = 0
-            while frontier and depth < r_w:
-                depth += 1
+            for depth in range(1, r_w + 1):
+                left = r_w - depth
                 nxt = []
                 for v in frontier:
                     for u in adjacency[v]:
-                        if u in active and u not in dist:
-                            dist[u] = depth
-                            nxt.append(u)
+                        if left > best[u]:
+                            best[u] = left
                             messages += 1
-                            if u not in claimed:
-                                claimed[u] = (w, depth)
+                            nxt.append(u)
+                            if center_of[u] < 0:
+                                center_of[u] = w
+                                dist_of[u] = depth
+                                unclaimed -= 1
                 frontier = nxt
-        still_active = set()
+        still_active = []
         for v in active:
-            if v in claimed:
-                center, d = claimed[v]
-                if d < radii[center]:
-                    clusters[v] = (phase, center)
-                    continue
-            still_active.add(v)
+            center = center_of[v]
+            if dist_of[v] < radius[center]:
+                clusters[v] = (phase, center)
+                best[v] = radius_cap  # above any radius a flood passes on
+            else:
+                still_active.append(v)
         active = still_active
     rounds = phases_run * (radius_cap + 1)
     report = RunReport(rounds=rounds, comm_rounds=rounds, messages_total=messages,
@@ -389,7 +412,7 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 labels[e] = num
                 assigner[e] = v
                 messages += 1
-        rounds = hp.rounds + 1
+        rounds = hp.rounds + 1 if g.n else 0
         report = RunReport(rounds=rounds, comm_rounds=rounds,
                            messages_total=messages,
                            outputs=tuple(zip(labels, assigner)), seed=seed)
@@ -424,6 +447,6 @@ def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
         "out_degree_bound": bound,
         "value_range": value_range,
         "layers": hp.layer_count,
-        "rounds_total": hp.rounds + 1,
+        "rounds_total": hp.rounds + 1 if g.n else 0,
     }
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)

@@ -152,6 +152,8 @@ class TestRun:
                 assert main(argv) == EXIT_OK, (tag, gen)
                 doc = json.loads(out.read_text())
                 assert doc["status"] == "ok"
+                if gen == "path:n=0":
+                    assert doc["run"]["rounds"] == 0, tag
 
 
 class TestBench:
@@ -178,6 +180,29 @@ class TestBench:
         table = out.read_text()
         assert "error" in table
         assert "good" in table and "1/1" in table
+
+    def test_suite_params_checked_against_schema(self, tmp_path, capsys):
+        """Suite params go through the --param schema: an unknown key, a
+        wrong type or a missing required param is that row's error note."""
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([
+            {"name": "unknown-key", "algo": "random-coloring", "gen": "gnp:n=32,p=0.1",
+             "seeds": [0], "params": {"zeta": 1, "c": "4"}},
+            {"name": "wrong-type", "algo": "defective-coloring", "gen": "gnp:n=32,p=0.1",
+             "seeds": [0], "params": {"p": "two"}},
+            {"name": "missing", "algo": "kuhn-edge", "gen": "gnp:n=32,p=0.1",
+             "seeds": [0], "params": {}},
+            {"name": "good", "algo": "random-coloring", "gen": "gnp:n=32,p=0.1",
+             "seeds": [0], "params": {"c": 4}},
+        ]))
+        out = tmp_path / "table.txt"
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == EXIT_VERDICT
+        rows = {line.split()[0]: line for line in out.read_text().splitlines()[1:]}
+        assert "unknown parameter 'zeta'" in rows["unknown-key"]
+        assert "is not a int" in rows["wrong-type"]
+        assert "requires parameter i" in rows["missing"]
+        assert "1/1" in rows["good"]
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_console_entry_point(self):
         src = Path(genlabel.__file__).resolve().parents[1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -59,13 +60,32 @@ class TestLinialSaks:
         assert not c.failed
 
     def test_engines_agree(self):
-        for n, p in ((24, 0.15), (48, 0.08)):
+        """The sweep reproduces the program's clusterings, phases and rounds,
+        and simulates no more messages than the program sends.  (The engines
+        differ on comm_rounds: the sweep reports every round.)"""
+        specs = (GeneratorSpec("gnp", 24, p=0.15), GeneratorSpec("gnp", 48, p=0.08),
+                 GeneratorSpec("path", 40), GeneratorSpec("clique", 10),
+                 GeneratorSpec("random-tree", 60))
+        for spec in specs:
             for seed in range(4):
-                g = generate(GeneratorSpec("gnp", n, p=p, seed=seed))
-                a = linial_saks(g, seed=seed, engine="program")
-                b = linial_saks(g, seed=seed, engine="fast")
-                assert a.clusters == b.clusters
-                assert a.phase_count == b.phase_count
+                g = generate(replace(spec, seed=seed))
+                for cap in (None, 1, 2, 5):
+                    a = linial_saks(g, seed=seed, radius_cap=cap, engine="program")
+                    b = linial_saks(g, seed=seed, radius_cap=cap, engine="fast")
+                    case = (spec.kind, seed, cap)
+                    assert a.clusters == b.clusters, case
+                    assert a.phase_count == b.phase_count, case
+                    assert a.report.rounds == b.report.rounds, case
+                    assert b.report.messages_total <= a.report.messages_total, case
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sweep_work_bound(self, seed):
+        """Each phase expands a vertex only for a larger remaining radius, all
+        below the cap: at most radius_cap * n simulated messages per phase."""
+        n = 1024
+        g = generate(GeneratorSpec("gnp", n, p=6 / n, seed=seed))
+        c = linial_saks(g, seed=seed)
+        assert c.report.messages_total <= c.phase_count * c.radius_cap * n
 
     def test_every_vertex_clustered(self):
         g = generate(GeneratorSpec("gnp", 128, p=0.05, seed=2))

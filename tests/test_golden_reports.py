@@ -68,7 +68,7 @@ CASES = [
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 0 --format csv --param c=2",
      0, "2f80cfddafea0dce3f86b6995844528eacba13be6c6cc625d6de012fe8e9272d"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format json --param c=2",
-     0, "ad91f06736b38b13668781b9cbb01524f433e8c2d1c103547179263e964eb28f"),
+     0, "4a2f977788dacc42af04445801af634e376cb097ae1dad3220c6751842adc99f"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format csv --param c=2",
      0, "005d24944e0b33790cfbc0ae71ab08f5f1b1c520f2524aaeb22688392ae815e5"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format json",
@@ -130,13 +130,13 @@ CASES = [
     ("run --algo defective-coloring --gen path:n=0 --seed 0 --param p=1",
      0, "98c74d445d369f4f006ff844b1ae4888c08f91281998ed8580516c46a14a7d3c"),
     ("run --algo arboricity-coloring --gen path:n=0 --seed 0 --param a=2",
-     0, "3a091ef5675da1082801aac879da97d1e979fefac2f79b132f01c73fe6f72a8c"),
+     0, "7610507394b1b4a8300127e3f961657df3ff46129ceffd6468bd7effbf40cd3e"),
     ("run --algo network-decomposition --gen path:n=0 --seed 0",
      0, "d1035c34fb6473ceace9920d7baa3760bb1542399b6861fb478fb1ef4f89ed1f"),
     ("run --algo forest-id --gen path:n=0 --seed 0",
      0, "fba80dbd8a6ab168c3098a7a6d3a3138e9a626440b367d07c46e88f1709b47ac"),
     ("run --algo forest-hpartition --gen path:n=0 --seed 0 --param a=2",
-     0, "63d71feb0058959e932197d67a4f37c4b0ee3b1c4e2777dff6afda2375326d51"),
+     0, "71ade98971ba74c59558c8eadd9656166a9df25d7d8f5ecaa461af0446cb6a91"),
     ("run --algo edge-random --gen path:n=0 --seed 0",
      0, "d614136caebec2948682a858adc043e2ce0f9bda022f42171bb994d437f08400"),
     ("run --algo edge-delta2 --gen path:n=0 --seed 0",
