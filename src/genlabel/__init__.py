@@ -48,7 +48,7 @@ from .graphs import (
     orient_by_id,
     orient_forest,
 )
-from .labels import LabelDomain, decode_label, draw_count, encode_label
+from .labels import LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
 from .rng import Stream, derive_stream, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync

@@ -167,8 +167,12 @@ def _network_decomposition(g: Graph, seed: int, params: dict):
     res = generic_network_decomposition(g, c=c, seed=seed,
                                         radius_cap=params.get("B"))
     bound = 2 * res.params["radius_cap"]
-    budget = (params.get("label_budget")
-              or c * max(1, math.ceil(4 * math.log2(max(g.n, 2)))))
+    if "label_budget" in params:
+        budget = params["label_budget"]
+        if budget < 1:
+            raise ConfigError(f"label_budget must be >= 1, got {budget}")
+    else:
+        budget = c * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
     verdict, measured = verify.check_network_decomposition(
         g, res.domains, bound, budget)
     return _body(res.params, res.report, [verdict], res.domains, res.failed, {
@@ -373,7 +377,7 @@ def cmd_run(args) -> int:
     try:
         params = parse_params(args.algo, args.param or [])
         g, source = _graph_from_args(args, args.seed)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -402,6 +406,23 @@ DEFAULT_SUITE = [{"name": entry.name, "algo": tag, "gen": entry.gen, "seeds": [0
                  for tag, entry in ALGORITHMS.items()]
 
 
+def _suite_row(entry) -> tuple[str, dict, list, str]:
+    """A suite row's algo, params, seeds and gen, each checked for its JSON type."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"a suite row must be an object, got {entry!r}")
+    row = (entry.get("algo"), entry.get("params", {}), entry.get("seeds", [0]),
+           entry.get("gen"))
+    for key, kind, value in zip(("algo", "params", "seeds", "gen"),
+                                (str, dict, list, str), row):
+        if value is None:
+            raise ConfigError(f"suite row needs {key!r}")
+        if not isinstance(value, kind):
+            raise ConfigError(f"suite row {key!r} must be a {kind.__name__}, got {value!r}")
+    if not all(type(seed) is int for seed in row[2]):
+        raise ConfigError(f"suite row 'seeds' must be integers, got {row[2]!r}")
+    return row
+
+
 def cmd_bench(args) -> int:
     if args.suite:
         try:
@@ -409,18 +430,20 @@ def cmd_bench(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read suite: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        if not isinstance(suite, list):
+            print("error: a suite is a JSON list of rows", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         suite = DEFAULT_SUITE
     rows = []
     any_failure = False
     for entry in suite:
-        name = entry.get("name", entry.get("algo", "?"))
+        name = str(entry.get("name", entry.get("algo", "?"))
+                   if isinstance(entry, dict) else "?")
         try:
-            tag = entry["algo"]
-            params = parse_params(tag, [f"{k}={v}" for k, v in
-                                        entry.get("params", {}).items()])
-            seeds = entry.get("seeds", [0])
-            spec = parse_gen_spec(entry["gen"])
+            tag, raw_params, seeds, gen = _suite_row(entry)
+            params = parse_params(tag, [f"{k}={v}" for k, v in raw_params.items()])
+            spec = parse_gen_spec(gen)
             worst_rounds = 0
             min_domain = None
             contingency = ""
@@ -428,7 +451,7 @@ def cmd_bench(args) -> int:
             for seed in seeds:
                 g = generate(replace(spec, seed=seed))
                 doc = build_report(tag, g, {"kind": "generator",
-                                            "spec": entry["gen"], "seed": seed},
+                                            "spec": gen, "seed": seed},
                                    seed, params)
                 metrics = doc.get("metrics", {})
                 worst_rounds = max(worst_rounds, metrics.get("rounds") or 0)

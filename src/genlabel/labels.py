@@ -12,21 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 
-def encode_label(tag: int, value: int, stride: int) -> int:
-    if not 0 <= value < stride:
-        raise ValueError(f"value {value} out of range for stride {stride}")
-    return tag * stride + value
-
-
-def decode_label(scalar: int, stride: int) -> tuple[int, int]:
-    return divmod(scalar, stride)
-
-
 def draw_count(c: float, n: int) -> int:
-    """The per-node draw budget ceil(c * log2 n), clamped to at least 1."""
+    """The per-node draw budget ceil(c * log2 n), and 1 for n <= 1; ``c``
+    must be finite and positive."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"parameter c must be finite and > 0, got {c}")
     if n <= 1:
         return 1
-    return max(1, math.ceil(c * math.log2(n)))
+    return math.ceil(c * math.log2(n))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .coverfree import PolyFamily, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
+from .rng import draw_rows
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 # ---------------------------------------------------------------------------
@@ -137,13 +139,12 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
 
 
 class _DrawPruneProgram(NodeProgram):
-    """Draw k tagged values, send them to ``receivers[v]``, and drop anything
+    """Send the node's tagged draws to ``receivers[v]`` and drop anything
     received.  A node in ``quiet`` is sent nothing, so it halts right after
     its draw; every other node waits one round for its inbox."""
 
-    def __init__(self, k: int, value_range: int, receivers, quiet: frozenset):
-        self.k = k
-        self.value_range = value_range
+    def __init__(self, picks: list[frozenset], receivers, quiet: frozenset):
+        self.picks = picks  # picks[v] is drawn from node v's own stream
         self.receivers = receivers
         self.quiet = quiet
 
@@ -151,26 +152,24 @@ class _DrawPruneProgram(NodeProgram):
         return None
 
     def step(self, ctx: NodeContext, state, inbox):
+        node = ctx.node
         if state is None:
-            values = ctx.rng.draw_many(self.k, self.value_range)
-            picks = frozenset(i * self.value_range + x for i, x in enumerate(values))
-            node = ctx.node
+            picks = self.picks[node]
             return picks, [(u, picks) for u in self.receivers[node]], node in self.quiet
-        kept = state
-        for _, theirs in inbox:
-            kept -= theirs
-        return kept, [], True
-
-    def output(self, ctx: NodeContext, state):
-        return tuple(sorted(state))
+        return state.difference(*[theirs for _, theirs in inbox]), [], True
 
 
 def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
                    quiet: frozenset) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
     """Run the draw-and-prune round; returns the surviving vertex domains
-    (palette value_range*k), the run report, and the vertices left empty."""
-    report = run_sync(_DrawPruneProgram(k, value_range, receivers, quiet), g, seed)
-    domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
+    (palette value_range*k), the run report, and the vertices left empty.
+
+    Vertex v draws k values from [0, value_range) on its private stream and
+    tags draw i as ``i*value_range + value``."""
+    tags = range(0, k * value_range, value_range)
+    picks = [frozenset(map(add, tags, row)) for row in draw_rows(seed, g.n, k, value_range)]
+    report = run_sync(_DrawPruneProgram(picks, receivers, quiet), g, seed)
+    domains = dict(enumerate(report.outputs))
     failed = tuple(v for v in range(g.n) if not domains[v])
     dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
                       stride=value_range)

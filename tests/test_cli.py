@@ -129,6 +129,32 @@ class TestRun:
                      "--gen", "clique:n=8", "--param", "a=1"])
         assert code == EXIT_VERDICT
 
+    @pytest.mark.parametrize("tag,gen,extra", [
+        ("random-coloring", "gnp:n=16,p=0.2", []),
+        ("arboricity-coloring", "forest-union:n=16,a=2", ["--param", "a=2"]),
+        ("edge-random", "gnp:n=16,p=0.2", []),
+    ])
+    @pytest.mark.parametrize("c", ["inf", "nan", "-1", "0"])
+    def test_bad_draw_constant_config_error(self, tag, gen, extra, c, capsys):
+        code = main(["run", "--algo", tag, "--gen", gen, "--param", f"c={c}", *extra])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "parameter c must be finite and > 0" in err
+        assert "Traceback" not in err
+
+    def test_label_budget_taken_as_given(self, tmp_path, capsys):
+        base = ["run", "--algo", "network-decomposition", "--gen", "gnp:n=32,p=0.1"]
+        assert main(base + ["--param", "label_budget=0"]) == EXIT_CONFIG
+        assert "label_budget must be >= 1" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        main(base + ["--param", "label_budget=1", "--out", str(out)])
+        assert json.loads(out.read_text())["metrics"]["label_budget"] == 1
+
+    def test_graph_directory_config_error(self, tmp_path, capsys):
+        code = main(["run", "--algo", "forest-id", "--graph", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_all_algorithms_reachable(self, tmp_path):
         """Every registered tag executes end to end from the CLI, on a small
         graph and on the empty graph."""
@@ -202,6 +228,45 @@ class TestBench:
         assert "is not a int" in rows["wrong-type"]
         assert "requires parameter i" in rows["missing"]
         assert "1/1" in rows["good"]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_suite_not_a_list_config_error(self, tmp_path, capsys):
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps({"algo": "random-coloring", "gen": "path:n=4"}))
+        assert main(["bench", "--suite", str(suite)]) == EXIT_CONFIG
+        assert "error: a suite is a JSON list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,note", [
+        ([5], "a suite row must be an object"),
+        ({"algo": "random-coloring", "gen": "path:n=4", "params": [1]},
+         "suite row 'params' must be a dict"),
+        ({"algo": "random-coloring", "gen": "path:n=4", "seeds": 5},
+         "suite row 'seeds' must be a list"),
+    ], ids=["row-not-object", "params-not-object", "seeds-not-list"])
+    def test_malformed_suite_row_error_note(self, tmp_path, capsys, row, note):
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([row, {"name": "good", "algo": "random-coloring",
+                                           "gen": "path:n=4", "seeds": [0]}]))
+        out = tmp_path / "table.txt"
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == EXIT_VERDICT
+        bad, good = out.read_text().splitlines()[1:]
+        assert "error" in bad and note in bad
+        assert "1/1" in good
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_bad_draw_constant_row_error_note(self, tmp_path, capsys):
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"name": tag, "algo": tag, "gen": gen,
+                                      "params": {"c": "inf", **extra}}
+                                     for tag, gen, extra in (
+                                         ("random-coloring", "path:n=4", {}),
+                                         ("arboricity-coloring", "path:n=4", {"a": 1}),
+                                         ("edge-random", "path:n=4", {}))]))
+        out = tmp_path / "table.txt"
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == EXIT_VERDICT
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all("parameter c must be finite and > 0" in row for row in rows)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_console_entry_point(self):

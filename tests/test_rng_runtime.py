@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import genlabel
 from genlabel import Graph, GeneratorSpec, derive_stream, generate, run_sync, subseed
+from genlabel.rng import Stream, draw_rows
 from genlabel.runtime import NodeProgram
 
 
@@ -52,6 +53,35 @@ class TestStreams:
         src = Path(genlabel.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("bound", [1, 7, 40, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1])
+    def test_draw_rows_match_draw_many(self, seed, bound):
+        """The batched draw is bit-exact with fresh scalar streams, row by row;
+        2**63 + 1 rejects about half of all raw draws, so most of its rows
+        take the scalar redraw."""
+        for n, count in ((37, 11), (5, 1), (0, 9), (6, 0)):
+            rows = draw_rows(seed, n, count, bound)
+            assert rows == [Stream(seed, v).draw_many(count, bound) for v in range(n)]
+            assert all(type(x) is int for row in rows for x in row)
+
+    def test_numpy_not_loaded_without_a_batched_draw(self, tmp_path):
+        """numpy is imported on the first batched draw only, so the tags that
+        never draw a row do not pay its load time and memory."""
+        code = (
+            "import sys\n"
+            "import genlabel.cli\n"
+            "for tag in ('network-decomposition', 'dominating-edge', 'edge-delta2'):\n"
+            "    out = sys.argv[1] + '/' + tag + '.json'\n"
+            "    argv = ['run', '--algo', tag, '--gen', 'gnp:n=40,p=0.1', '--out', out]\n"
+            "    assert genlabel.cli.main(argv) == 0, tag\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = Path(genlabel.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
 
