@@ -3,10 +3,10 @@
 # group of sets can bury another one.  These families drive the deterministic
 # coloring pipeline.
 
-from genlabel import build_poly_family, residual_elements, smallest_prime_geq, verify_cover_free
+from genlabel import PolyFamily, residual_elements, smallest_prime_geq, verify_cover_free
 
 q = smallest_prime_geq(5)
-family = build_poly_family(d=2, q=q)
+family = PolyFamily(q=q, d=2)
 print(f"field GF({q}), degree <= 2: {family.family_size} sets over a ground "
       f"set of {family.ground_size} points, each of size {q}")
 
@@ -19,7 +19,7 @@ leftovers = residual_elements(family, s0=7, others=[30, 88], rho=0)
 print("elements of set 7 untouched by sets 30 and 88:", leftovers)
 
 # Brute-force certification, first exhaustively on the line family (d=1)...
-lines = build_poly_family(d=1, q=5)
+lines = PolyFamily(q=5, d=1)
 verdict = verify_cover_free(lines, delta=4, rho=0, mode="exhaustive")
 print(f"lines over GF(5), delta=4: cover-free={verdict.ok} "
       f"({verdict.tuples_checked} tuples checked)")

@@ -10,8 +10,6 @@ their ratio) of every algorithm's output.
 
 from .coverfree import (
     PolyFamily,
-    PrimeField,
-    build_poly_family,
     residual_elements,
     smallest_prime_geq,
     verify_cover_free,

@@ -1,4 +1,4 @@
-"""Prime fields, polynomial cover-free set families, and brute-force oracles.
+"""Polynomial cover-free set families and brute-force oracles.
 
 The family over GF(q) with degree bound d assigns to each coefficient vector
 g (indexed by its base-q digits, low coefficient least significant) the point
@@ -48,36 +48,6 @@ def smallest_prime_geq(x: int) -> int:
 
 
 @dataclass(frozen=True)
-class PrimeField:
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inverse(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, self.q - 2, self.q)
-
-    def eval_poly(self, coeffs, x: int) -> int:
-        """Evaluate sum(coeffs[i] * x^i) by Horner's rule."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % self.q
-        return acc
-
-
-@dataclass(frozen=True)
 class PolyFamily:
     """The q^(d+1) point sets of all polynomials of degree <= d over GF(q)."""
 
@@ -123,10 +93,6 @@ class PolyFamily:
                 acc = (acc * a + c) % q
             out.append(a * q + acc)
         return frozenset(out)
-
-
-def build_poly_family(d: int, q: int) -> PolyFamily:
-    return PolyFamily(q=q, d=d)
 
 
 def residual_elements(fam: PolyFamily, s0: int, others, rho: int = 0) -> list[int]:

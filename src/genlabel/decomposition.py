@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import Graph, Orientation, orient_by_id
+from .graphs import Graph, Orientation
 from .labels import LabelDomain, draw_count
 from .results import DomainsResult
 from .rng import derive_stream, subseed
@@ -274,10 +274,8 @@ class HPartition:
     toward higher id) is acyclic with out-degree at most floor((2+eps)*a)."""
 
     layer: tuple[int, ...]
-    layer_count: int
-    threshold: float
+    layer_count: int  # one simulated round per peeled layer
     orientation: Orientation
-    rounds: int  # one simulated round per peeled layer
 
 
 def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
@@ -320,8 +318,7 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
         ku, kv = (layer[u], u), (layer[v], v)
         target.append(v if kv > ku else u)
     orientation = Orientation.from_targets(g, target, acyclic=True)
-    return HPartition(layer=tuple(layer), layer_count=level, threshold=threshold,
-                      orientation=orientation, rounds=level)
+    return HPartition(layer=tuple(layer), layer_count=level, orientation=orientation)
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,6 @@ class ForestLabeling:
     edge_labels: tuple[int, ...]
     assigner: tuple[int, ...]
     forest_count: int
-    orientation: Orientation
 
     def domain(self) -> LabelDomain:
         """From the edge's viewpoint every label is possible: contingency 1."""
@@ -393,8 +389,7 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 e = g.edge_id(v, u)
                 labels[e] = num
                 assigner[e] = v
-        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count,
-                                  orient_by_id(g))
+        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
         return labeling, labeling.domain(), report
     if mode == "h-partition":
         if a is None:
@@ -412,12 +407,11 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 labels[e] = num
                 assigner[e] = v
                 messages += 1
-        rounds = hp.rounds + 1 if g.n else 0
+        rounds = hp.layer_count + 1 if g.n else 0
         report = RunReport(rounds=rounds, comm_rounds=rounds,
                            messages_total=messages,
                            outputs=tuple(zip(labels, assigner)), seed=seed)
-        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count,
-                                  orientation)
+        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
         return labeling, labeling.domain(), report
     raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
 
@@ -447,6 +441,6 @@ def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
         "out_degree_bound": bound,
         "value_range": value_range,
         "layers": hp.layer_count,
-        "rounds_total": hp.rounds + 1 if g.n else 0,
+        "rounds_total": hp.layer_count + 1 if g.n else 0,
     }
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)

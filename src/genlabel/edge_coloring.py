@@ -21,10 +21,6 @@ from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import generic_delta2_coloring, generic_random_coloring
 
 
-def _edge_owners(g: Graph) -> tuple[int, ...]:
-    return tuple(max(u, v) for u, v in g.edges)
-
-
 def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
                                  c: float = 4.0, seed: int = 0) -> DomainsResult:
     """Run a generic vertex coloring on L(G) to get per-edge label domains.
@@ -47,7 +43,7 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
                       stride=base.domains.stride)
     params = dict(base.params)
     params["variant"] = variant
-    params["owners"] = list(_edge_owners(g))
+    params["owners"] = [max(u, v) for u, v in g.edges]
     return DomainsResult(domains=dom, report=base.report, params=params,
                          failed=base.failed)
 
@@ -295,8 +291,6 @@ class DominatingColoredSet:
     dominating: frozenset[int]
     class_of: tuple[int, ...]
     class_count: int
-    colors_per_class: int
-    base_colors: tuple[int | None, ...]
     domains: LabelDomain
     report: RunReport
     params: dict = field(default_factory=dict)
@@ -371,5 +365,4 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
     }
     return DominatingColoredSet(
         dominating=frozenset(dominating), class_of=class_of, class_count=s,
-        colors_per_class=t, base_colors=coloring.colors, domains=dom,
-        report=report, params=params)
+        domains=dom, report=report, params=params)

@@ -12,14 +12,21 @@ import math
 from dataclasses import dataclass, field
 
 
+MAX_DRAW_COUNT = 1024
+
+
 def draw_count(c: float, n: int) -> int:
     """The per-node draw budget ceil(c * log2 n), and 1 for n <= 1; ``c``
-    must be finite and positive."""
+    must be finite and positive, and the budget at most MAX_DRAW_COUNT
+    (1,024), so a huge ``c`` is refused before any draw is allocated."""
     if not 0 < c < math.inf:
         raise ValueError(f"parameter c must be finite and > 0, got {c}")
     if n <= 1:
         return 1
-    return math.ceil(c * math.log2(n))
+    k = c * math.log2(n)
+    if k > MAX_DRAW_COUNT:
+        raise ValueError(f"parameter c={c} gives more than {MAX_DRAW_COUNT} draws per node")
+    return math.ceil(k)
 
 
 @dataclass(frozen=True)

@@ -16,24 +16,20 @@ message batch fall in consecutive engine rounds).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph
 from .rng import Stream, derive_stream
 
 
 class NodeContext:
-    """Static per-node view: own id, neighbor ids, global constants, private RNG."""
+    """Static per-node view: own id, neighbor ids, private RNG."""
 
-    __slots__ = ("node", "neighbors", "n", "max_degree", "rng")
+    __slots__ = ("node", "neighbors", "rng")
 
-    def __init__(self, node: int, neighbors: tuple[int, ...], n: int,
-                 max_degree: int, rng: Stream):
+    def __init__(self, node: int, neighbors: tuple[int, ...], rng: Stream):
         self.node = node
         self.neighbors = neighbors
-        self.n = n
-        self.max_degree = max_degree
         self.rng = rng
 
 
@@ -63,7 +59,6 @@ class RunReport:
     outputs: tuple
     seed: int
     incomplete: bool = False
-    wall_seconds: float | None = field(default=None, compare=False)
 
     def to_document(self) -> dict:
         """Stable, timing-free form used by the byte-determinism contract."""
@@ -77,22 +72,19 @@ class RunReport:
 
 
 def run_sync(program: NodeProgram, g: Graph, master_seed: int,
-             max_rounds: int = 10_000, trace: list | None = None) -> RunReport:
+             max_rounds: int = 10_000) -> RunReport:
     """Run a node program in lock-step rounds until all nodes halt.
 
     Deterministic: identical (program, graph, master_seed) produce identical
     reports.  If the round budget runs out first, the report is flagged
     incomplete and carries whatever outputs the nodes have so far.
     """
-    t0 = time.perf_counter()
     n = g.n
     if n == 0:
         return RunReport(rounds=0, comm_rounds=0, messages_total=0, outputs=(),
-                         seed=master_seed, wall_seconds=time.perf_counter() - t0)
+                         seed=master_seed)
     adjacency = g.adjacency
-    max_deg = g.max_degree
-    ctxs = [NodeContext(v, adjacency[v], n, max_deg, derive_stream(master_seed, v))
-            for v in range(n)]
+    ctxs = [NodeContext(v, adjacency[v], derive_stream(master_seed, v)) for v in range(n)]
     states = [program.init(ctxs[v]) for v in range(n)]
     halted = [False] * n
     live = n
@@ -110,8 +102,6 @@ def run_sync(program: NodeProgram, g: Graph, master_seed: int,
             if outbox:
                 for u, payload in outbox:
                     next_inboxes[u].append((v, payload))
-                    if trace is not None:
-                        trace.append((rounds, v, u, payload))
                 messages += len(outbox)
             if halt:
                 halted[v] = True
@@ -121,5 +111,4 @@ def run_sync(program: NodeProgram, g: Graph, master_seed: int,
         comm_rounds += int(delivered)
     outputs = tuple(program.output(ctxs[v], states[v]) for v in range(n))
     return RunReport(rounds=rounds, comm_rounds=comm_rounds, messages_total=messages,
-                     outputs=outputs, seed=master_seed, incomplete=live > 0,
-                     wall_seconds=time.perf_counter() - t0)
+                     outputs=outputs, seed=master_seed, incomplete=live > 0)

@@ -380,7 +380,7 @@ class MetricsReport:
             "solution_domain_median": self.solution_domain_median,
             "solution_domain_max": self.solution_domain_max,
             "contingency_factor": f"{cf.numerator}/{cf.denominator}",
-            "contingency_factor_float": float(cf) if cf is not None else None,
+            "contingency_factor_float": float(cf),
             "rounds": self.rounds,
             "verdicts": [v.to_document() for v in self.verdicts],
         }

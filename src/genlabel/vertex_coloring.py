@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .coverfree import PolyFamily, smallest_prime_geq
+from .coverfree import PolyFamily, residual_elements, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
@@ -84,7 +84,6 @@ class _ColeVishkinProgram(NodeProgram):
 
 
 def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
-                           max_rounds: int | None = None,
                            master_seed: int = 0) -> ColoringResult:
     """Proper 3-coloring of an oriented forest in about log*(n) rounds.
 
@@ -105,8 +104,7 @@ def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
             parent[v] = orientation.target[e]
             children[parent[v]].append(v)
     program = _ColeVishkinProgram(parent, [tuple(c) for c in children], g.n)
-    budget = max_rounds if max_rounds is not None else _reduction_rounds(g.n) + 8
-    report = run_sync(program, g, master_seed, max_rounds=budget)
+    report = run_sync(program, g, master_seed, max_rounds=_reduction_rounds(g.n) + 8)
     rounds_bound = log_star(max(g.n, 2))
     params = {
         "reduction_rounds": program.rounds_reduce,
@@ -274,14 +272,8 @@ class _PipelineProgram(NodeProgram):
             color = _reduce_color(self.families[r - 1], ctx.node, color,
                                   [c for _, c in inbox])
         if r == t + 1:
-            counts: dict[int, int] = {}
-            for _, their_color in inbox:
-                if their_color != color:
-                    for x in self.final.set_elements(their_color):
-                        counts[x] = counts.get(x, 0) + 1
-            domain = tuple(sorted(
-                x for x in self.final.set_elements(color)
-                if counts.get(x, 0) <= self.rho))
+            others = [c for _, c in inbox if c != color]
+            domain = residual_elements(self.final, color, others, self.rho)
             return [r + 1, color, domain], [], True
         return [r + 1, color, domain], [(u, color) for u in ctx.neighbors], False
 

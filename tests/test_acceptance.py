@@ -18,7 +18,7 @@ import pytest
 from genlabel import (
     GeneratorSpec,
     Graph,
-    build_poly_family,
+    PolyFamily,
     cole_vishkin_3coloring,
     expand_to_generic,
     generate,
@@ -136,16 +136,16 @@ def test_criterion_03_cover_free_oracles():
     Delta=2), and the residual bound (>= Delta surviving elements) over 10^4
     sampled triples for (d=2, q=7, Delta=2); zero violations, under 60 s."""
     t0 = time.perf_counter()
-    lines = build_poly_family(1, 5)
+    lines = PolyFamily(q=5, d=1)
     verdict = verify_cover_free(lines, delta=4, rho=0, mode="exhaustive")
     assert verdict.ok and verdict.tuples_checked == math.comb(24, 4) * 25
 
-    quads = build_poly_family(2, 5)
+    quads = PolyFamily(q=5, d=2)
     sampled = verify_cover_free(quads, delta=2, rho=0, mode="sampled",
                                 trials=100_000, seed=7)
     assert sampled.ok and sampled.tuples_checked == 100_000
 
-    fam = build_poly_family(2, 7)
+    fam = PolyFamily(q=7, d=2)
     rng = derive_stream(subseed(11, 0x633361), 0)
     for _ in range(10_000):
         s0 = rng.draw_uniform(343)

@@ -134,12 +134,19 @@ class TestRun:
         ("arboricity-coloring", "forest-union:n=16,a=2", ["--param", "a=2"]),
         ("edge-random", "gnp:n=16,p=0.2", []),
     ])
-    @pytest.mark.parametrize("c", ["inf", "nan", "-1", "0"])
-    def test_bad_draw_constant_config_error(self, tag, gen, extra, c, capsys):
+    @pytest.mark.parametrize("c,message", [
+        ("inf", "parameter c must be finite and > 0"),
+        ("nan", "parameter c must be finite and > 0"),
+        ("-1", "parameter c must be finite and > 0"),
+        ("0", "parameter c must be finite and > 0"),
+        ("1e15", "more than 1024 draws per node"),
+        ("1e7", "more than 1024 draws per node"),
+    ])
+    def test_bad_draw_constant_config_error(self, tag, gen, extra, c, message, capsys):
         code = main(["run", "--algo", tag, "--gen", gen, "--param", f"c={c}", *extra])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "parameter c must be finite and > 0" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_label_budget_taken_as_given(self, tmp_path, capsys):
@@ -254,10 +261,15 @@ class TestBench:
         assert "1/1" in good
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_bad_draw_constant_row_error_note(self, tmp_path, capsys):
+    @pytest.mark.parametrize("c,message", [
+        ("inf", "parameter c must be finite and > 0"),
+        ("1e15", "more than 1024 draws per node"),
+        ("1e7", "more than 1024 draws per node"),
+    ])
+    def test_bad_draw_constant_row_error_note(self, tmp_path, capsys, c, message):
         suite = tmp_path / "s.json"
         suite.write_text(json.dumps([{"name": tag, "algo": tag, "gen": gen,
-                                      "params": {"c": "inf", **extra}}
+                                      "params": {"c": c, **extra}}
                                      for tag, gen, extra in (
                                          ("random-coloring", "path:n=4", {}),
                                          ("arboricity-coloring", "path:n=4", {"a": 1}),
@@ -266,7 +278,7 @@ class TestBench:
         assert main(["bench", "--suite", str(suite), "--out", str(out)]) == EXIT_VERDICT
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 3
-        assert all("parameter c must be finite and > 0" in row for row in rows)
+        assert all(message in row for row in rows)
         assert "Traceback" not in capsys.readouterr().err
 
     def test_console_entry_point(self):

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from genlabel import (
     PolyFamily,
-    PrimeField,
-    build_poly_family,
     residual_elements,
     smallest_prime_geq,
     verify_cover_free,
@@ -52,81 +50,57 @@ class TestPrimes:
         assert is_prime(p)
 
 
-class TestPrimeField:
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            PrimeField(9)
-
-    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_field_axioms_spot(self, q, data):
-        f = PrimeField(q)
-        a = data.draw(st.integers(0, q - 1))
-        b = data.draw(st.integers(0, q - 1))
-        c = data.draw(st.integers(0, q - 1))
-        assert f.add(a, b) == f.add(b, a)
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        if a != 0:
-            assert f.mul(a, f.inverse(a)) == 1
-
-    def test_eval_poly(self):
-        f = PrimeField(7)
-        # 3 + 2x + x^2 at x=4 -> 3 + 8 + 16 = 27 = 6 mod 7
-        assert f.eval_poly((3, 2, 1), 4) == 6
-
-
 class TestPolyFamily:
     def test_counts_d2_q3(self):
-        fam = build_poly_family(2, 3)
+        fam = PolyFamily(q=3, d=2)
         assert fam.family_size == 27 and fam.ground_size == 9
         assert all(len(fam.set_elements(i)) == 3 for i in range(27))
 
     def test_zero_polynomial(self):
-        fam = build_poly_family(2, 3)
+        fam = PolyFamily(q=3, d=2)
         assert fam.set_elements(0) == frozenset({0, 3, 6})  # (0,0),(1,0),(2,0)
 
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
-            build_poly_family(2, 6)
+            PolyFamily(q=6, d=2)
 
     def test_lines_intersect_leq_1(self):
-        fam = build_poly_family(1, 5)
+        fam = PolyFamily(q=5, d=1)
         sets = [fam.set_elements(i) for i in range(25)]
         for i, j in combinations(range(25), 2):
             assert len(sets[i] & sets[j]) <= 1
 
     @pytest.mark.parametrize("q,d", [(3, 1), (3, 2), (5, 1), (5, 2)])
     def test_pairwise_intersection_exhaustive(self, q, d):
-        fam = build_poly_family(d, q)
+        fam = PolyFamily(q=q, d=d)
         sets = [fam.set_elements(i) for i in range(fam.family_size)]
         for i, j in combinations(range(fam.family_size), 2):
             assert len(sets[i] & sets[j]) <= d
             assert len(sets[i]) == q
 
     def test_matches_naive_reconstruction(self):
-        fam = build_poly_family(2, 5)
+        fam = PolyFamily(q=5, d=2)
         for idx in range(0, 125, 7):
             assert fam.set_elements(idx) == naive_set(5, 2, idx)
 
 
 class TestResidual:
     def test_no_others_full_set(self):
-        fam = build_poly_family(2, 7)
+        fam = PolyFamily(q=7, d=2)
         assert residual_elements(fam, 5, []) == sorted(fam.set_elements(5))
 
     def test_s0_in_others_rejected(self):
-        fam = build_poly_family(1, 3)
+        fam = PolyFamily(q=3, d=1)
         with pytest.raises(ValueError):
             residual_elements(fam, 1, [1, 2])
 
     def test_bad_index_rejected(self):
-        fam = build_poly_family(1, 3)
+        fam = PolyFamily(q=3, d=1)
         with pytest.raises(ValueError):
             residual_elements(fam, 0, [99])
 
     def test_matches_naive_recount(self):
-        fam = build_poly_family(2, 5)
+        fam = PolyFamily(q=5, d=2)
         import random
 
         r = random.Random(0)
@@ -139,7 +113,7 @@ class TestResidual:
 
     def test_residual_bound_d2_q7_sampled(self):
         # any 2 other sets leave at least q - d*2 = 3 >= Delta elements
-        fam = build_poly_family(2, 7)
+        fam = PolyFamily(q=7, d=2)
         import random
 
         r = random.Random(1)
@@ -150,7 +124,7 @@ class TestResidual:
 
     def test_rho1_nonempty_d2_q5(self):
         # Delta = ceil(5*2/2) - 1 = 4 others cannot 2-cover any set
-        fam = build_poly_family(2, 5)
+        fam = PolyFamily(q=5, d=2)
         import random
 
         r = random.Random(2)
@@ -162,7 +136,7 @@ class TestResidual:
 
 class TestVerifyCoverFree:
     def test_exhaustive_d1_q5(self):
-        fam = build_poly_family(1, 5)
+        fam = PolyFamily(q=5, d=1)
         verdict = verify_cover_free(fam, delta=4, rho=0, mode="exhaustive")
         assert verdict.ok
         from math import comb
@@ -170,13 +144,13 @@ class TestVerifyCoverFree:
         assert verdict.tuples_checked == comb(24, 4) * 25
 
     def test_sampled_d2_q5(self):
-        fam = build_poly_family(2, 5)
+        fam = PolyFamily(q=5, d=2)
         verdict = verify_cover_free(fam, delta=2, rho=0, mode="sampled", trials=10_000)
         assert verdict.ok and verdict.tuples_checked == 10_000
 
     def test_too_many_covering_sets_found(self):
         # delta = q lines can cover a line: constants through each abscissa
-        fam = build_poly_family(1, 5)
+        fam = PolyFamily(q=5, d=1)
         verdict = verify_cover_free(fam, delta=5, rho=0, mode="sampled",
                                     trials=20_000, seed=3)
         assert not verdict.ok
@@ -185,10 +159,10 @@ class TestVerifyCoverFree:
         assert naive_residual(5, 1, s0, others, 0) == []
 
     def test_exhaustive_budget_refusal(self):
-        fam = build_poly_family(2, 7)  # 343 sets
+        fam = PolyFamily(q=7, d=2)  # 343 sets
         with pytest.raises(ExhaustiveBudgetError):
             verify_cover_free(fam, delta=4, mode="exhaustive", budget=1000)
 
     def test_cover_free_degree_formula(self):
-        assert build_poly_family(2, 7).cover_free_degree == 3  # ceil(7/2)-1
-        assert build_poly_family(1, 5).cover_free_degree == 4
+        assert PolyFamily(q=7, d=2).cover_free_degree == 3  # ceil(7/2)-1
+        assert PolyFamily(q=5, d=1).cover_free_degree == 4

@@ -42,12 +42,12 @@ class TestStreams:
         a, b = derive_stream(9, 4), derive_stream(9, 4)
         assert a.draw_many(5, 2**64) == [b.draw_u64() for _ in range(5)]
         code = (
-            "from genlabel import build_poly_family, derive_stream, verify_cover_free\n"
+            "from genlabel import PolyFamily, derive_stream, verify_cover_free\n"
             "s = derive_stream(0, 0)\n"
             "assert 0 <= s.draw_uniform(2**64 + 1) < 2**64 + 1\n"
             "values = s.draw_many(3, 2**70)\n"
             "assert len(values) == 3 and all(0 <= x < 2**70 for x in values)\n"
-            "fam = build_poly_family(9, 101)\n"
+            "fam = PolyFamily(q=101, d=9)\n"
             "assert verify_cover_free(fam, 2, mode='sampled', trials=100).ok\n"
         )
         src = Path(genlabel.__file__).resolve().parents[1]
@@ -168,13 +168,17 @@ class TestEngine:
         assert rep.incomplete
 
     def test_halted_nodes_never_send_again(self, path4):
-        trace: list = []
-        run_sync(TwoPhase(), path4, 1, trace=trace)
-        last_send = {}
-        for rnd, sender, _, _ in trace:
-            last_send[sender] = rnd
-        # TwoPhase halts in round 2 without sending, so all sends are round 0
-        assert set(last_send.values()) == {0}
+        steps: list = []
+
+        class LoggedTwoPhase(TwoPhase):
+            def step(self, ctx, state, inbox):
+                steps.append((ctx.node, state))
+                return super().step(ctx, state, inbox)
+
+        rep = run_sync(LoggedTwoPhase(), path4, 1, max_rounds=10)
+        # a halted node that never steps again cannot send again
+        assert sorted(steps) == [(v, s) for v in range(path4.n) for s in (0, 1)]
+        assert rep.rounds == 2 and not rep.incomplete
 
     def test_round_isolation(self):
         """Info reachable in R rounds is a function of the radius-R ball only:
