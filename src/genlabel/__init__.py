@@ -48,7 +48,7 @@ from .graphs import (
 )
 from .labels import LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
-from .rng import Stream, derive_stream, subseed
+from .rng import Stream, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import (
     cole_vishkin_3coloring,

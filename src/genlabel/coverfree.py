@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .rng import derive_stream, subseed
+from .rng import Stream, subseed
 
 
 class ExhaustiveBudgetError(RuntimeError):
@@ -120,14 +120,6 @@ class CoverFreeVerdict:
     tuples_checked: int
     counterexample: tuple | None = None
 
-    def to_document(self) -> dict:
-        return {
-            "ok": self.ok,
-            "mode": self.mode,
-            "tuples_checked": self.tuples_checked,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-        }
-
 
 def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
                       mode: str = "exhaustive", trials: int = 100_000,
@@ -173,7 +165,7 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
                     return CoverFreeVerdict(False, mode, checked, (s0, *others))
         return CoverFreeVerdict(True, mode, checked)
     if mode == "sampled":
-        rng = derive_stream(subseed(seed, 0x6366), 0)
+        rng = Stream(subseed(seed, 0x6366), 0)
         for _ in range(trials):
             s0 = rng.draw_uniform(n)
             others: set[int] = set()

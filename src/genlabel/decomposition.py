@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .graphs import Graph, Orientation
-from .labels import LabelDomain, draw_count
+from .labels import MAX_FACTOR, LabelDomain, draw_count
 from .results import DomainsResult
-from .rng import derive_stream, subseed
+from .rng import Stream, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import draw_and_prune
 
@@ -106,9 +106,8 @@ def _linial_saks_program(g: Graph, seed: int, radius_cap: int,
     program = _LSProgram(radius_cap, phase_budget)
     report = run_sync(program, g, seed,
                       max_rounds=phase_budget * (radius_cap + 1) + 1)
-    clusters = tuple(report.outputs)
     phases = -(-report.rounds // (radius_cap + 1))  # cap+1 rounds per phase
-    return Clustering(clusters=clusters, phase_count=phases,
+    return Clustering(clusters=report.outputs, phase_count=phases,
                       radius_cap=radius_cap, report=report)
 
 
@@ -134,7 +133,7 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
     below the cap, so a phase costs at most ``radius_cap * n`` messages.
     """
     n = g.n
-    streams = [derive_stream(seed, v) for v in range(n)]
+    streams = [Stream(seed, v) for v in range(n)]
     clusters: list[tuple[int, int] | None] = [None] * n
     adjacency = g.adjacency
     best = [-1] * n
@@ -187,9 +186,8 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
             else:
                 still_active.append(v)
         active = still_active
-    rounds = phases_run * (radius_cap + 1)
-    report = RunReport(rounds=rounds, comm_rounds=rounds, messages_total=messages,
-                       outputs=tuple(clusters), seed=seed, incomplete=bool(active))
+    report = RunReport.sweep(phases_run * (radius_cap + 1), messages, seed,
+                             incomplete=bool(active))
     return Clustering(clusters=tuple(clusters), phase_count=phases_run,
                       radius_cap=radius_cap, report=report)
 
@@ -226,8 +224,8 @@ def generic_network_decomposition(g: Graph, c: int, seed: int = 0,
     weak diameter at most 2*radius_cap.  Rounds are the maximum over the
     simultaneous executions; a failed execution flags the whole result.
     """
-    if c < 2:
-        raise ValueError(f"c must be at least 2, got {c}")
+    if not 2 <= c <= MAX_FACTOR:
+        raise ValueError(f"c must be in [2, {MAX_FACTOR}], got {c}")
     cap = default_radius_cap(g.n) if radius_cap is None else radius_cap
     runs = [
         linial_saks(g, seed=subseed(seed, 0x6E64, i), radius_cap=cap)
@@ -248,14 +246,7 @@ def generic_network_decomposition(g: Graph, c: int, seed: int = 0,
         domains[v] = frozenset(labels)
     dom = LabelDomain(kind="vertex", domains=domains, palette=c * stride,
                       stride=stride)
-    report = RunReport(
-        rounds=max(r.report.rounds for r in runs),
-        comm_rounds=max(r.report.comm_rounds for r in runs),
-        messages_total=sum(r.report.messages_total for r in runs),
-        outputs=tuple(tuple(sorted(domains[v])) for v in range(g.n)),
-        seed=seed,
-        incomplete=any(r.report.incomplete for r in runs),
-    )
+    report = RunReport.parallel((r.report for r in runs), seed)
     params = {
         "c": c,
         "radius_cap": cap,
@@ -317,7 +308,7 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
     for u, v in g.edges:
         ku, kv = (layer[u], u), (layer[v], v)
         target.append(v if kv > ku else u)
-    orientation = Orientation.from_targets(g, target, acyclic=True)
+    orientation = Orientation.from_targets(g, target)
     return HPartition(layer=tuple(layer), layer_count=level, orientation=orientation)
 
 
@@ -401,16 +392,12 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
         assigner = [0] * g.m
         messages = 0
         for v in range(g.n):
-            rng = derive_stream(seed, v)
-            numbers = rng.shuffle(list(range(1, forest_count + 1)))
+            numbers = Stream(seed, v).shuffle(list(range(1, forest_count + 1)))
             for num, e in zip(numbers, orientation.out_edges(v)):
                 labels[e] = num
                 assigner[e] = v
                 messages += 1
-        rounds = hp.layer_count + 1 if g.n else 0
-        report = RunReport(rounds=rounds, comm_rounds=rounds,
-                           messages_total=messages,
-                           outputs=tuple(zip(labels, assigner)), seed=seed)
+        report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, messages, seed)
         labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
         return labeling, labeling.domain(), report
     raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
@@ -427,12 +414,9 @@ def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
     k = draw_count(c, g.n)
     value_range = 2 * bound
     orientation = hp.orientation
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for e in orientation.out_edges(v):
-            children[orientation.target[e]].append(v)
     roots = frozenset(v for v in range(g.n) if not orientation.out_degree(v))
-    dom, report, failed = draw_and_prune(g, seed, k, value_range, children, roots)
+    dom, report, failed = draw_and_prune(g, seed, k, value_range, orientation.children(),
+                                         roots)
     params = {
         "a": a,
         "eps": eps,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import Graph, line_graph
-from .labels import LabelDomain
+from .labels import MAX_FACTOR, LabelDomain
 from .results import DomainsResult
 from .rng import subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
@@ -30,7 +30,7 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
     2*max_degree(G) - 1, the line graph's classic degree bound, which also
     keeps the delta2 variant's domains at 2*max_degree(G) - 1 or larger.
     """
-    lg, mapping = line_graph(g)
+    lg = line_graph(g)
     bound = max(1, 2 * g.max_degree - 1)
     if variant == "random":
         base = generic_random_coloring(lg, c=c, seed=seed, delta_bound=bound)
@@ -38,8 +38,7 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
         base = generic_delta2_coloring(lg, delta_bound=bound, master_seed=seed)
     else:
         raise ValueError(f"variant must be 'random' or 'delta2', got {variant!r}")
-    domains = {e: base.domains.domains[mapping[e]] for e in range(g.m)}
-    dom = LabelDomain(kind="edge", domains=domains, palette=base.domains.palette,
+    dom = LabelDomain(kind="edge", domains=base.domains.domains, palette=base.domains.palette,
                       stride=base.domains.stride)
     params = dict(base.params)
     params["variant"] = variant
@@ -203,11 +202,10 @@ def simple_edge_coloring(g: Graph, palette_size: int | None = None,
     palette = 3 * delta if palette_size is None else palette_size
     if palette < 2 * delta - 1:
         raise ValueError(f"palette {palette} below 2*max_degree-1 = {2 * delta - 1}")
-    lg, mapping = line_graph(g)
     budget = max_rounds if max_rounds is not None else 24 * (int(math.log2(g.m + 2)) + 2)
-    report = run_sync(_ProposalColoringProgram(palette), lg, seed, max_rounds=budget)
-    colors = tuple(report.outputs[mapping[e]] for e in range(g.m))
-    return EdgeColoring(colors=colors, palette_size=palette, report=report)
+    report = run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
+                      max_rounds=budget)
+    return EdgeColoring(colors=report.outputs, palette_size=palette, report=report)
 
 
 @dataclass(frozen=True)
@@ -313,10 +311,10 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
     coloring.  Problem domain t*s, solution domain t, contingency factor
     s = ceil(sqrt(max_degree)).
     """
-    if c < 3:
-        raise ValueError(f"c must be at least 3, got {c}")
-    if t < 2:
-        raise ValueError(f"t must be greater than 1, got {t}")
+    if not 3 <= c <= MAX_FACTOR:
+        raise ValueError(f"c must be in [3, {MAX_FACTOR}], got {c}")
+    if not 2 <= t <= MAX_FACTOR:
+        raise ValueError(f"t must be in [2, {MAX_FACTOR}], got {t}")
     delta = max(g.max_degree, 1)
     s = math.isqrt(delta)
     if s * s < delta:
@@ -345,16 +343,9 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
         for e in sorted(dominating)
     }
     dom = LabelDomain(kind="edge", domains=domains, palette=t * s, stride=t)
-    rounds = coloring.report.rounds + max((r.rounds for r in matching_reports), default=0)
-    comm = coloring.report.comm_rounds + max(
-        (r.comm_rounds for r in matching_reports), default=0)
-    messages = coloring.report.messages_total + sum(
-        r.messages_total for r in matching_reports)
-    incomplete = coloring.report.incomplete or any(
-        r.incomplete for r in matching_reports)
-    report = RunReport(rounds=rounds, comm_rounds=comm, messages_total=messages,
-                       outputs=tuple(sorted(dominating)), seed=seed,
-                       incomplete=incomplete)
+    # the class matchings run side by side, after the coloring
+    report = RunReport.sequential(
+        [coloring.report, RunReport.parallel(matching_reports, seed)], seed)
     params = {
         "c": c,
         "t": t,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .rng import derive_stream, subseed
+from .rng import Stream, subseed
 
 GENERATOR_KINDS = ("clique", "path", "random-tree", "gnp", "forest-union")
 
@@ -148,7 +148,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     if spec.kind == "path":
         return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
     if spec.kind == "random-tree":
-        rng = derive_stream(subseed(spec.seed, 0x7265), 0)
+        rng = Stream(subseed(spec.seed, 0x7265), 0)
         cap = spec.max_deg
         degree = [0] * max(n, 1)
         edges = []
@@ -173,7 +173,7 @@ def _gnp(n: int, p: float, seed: int) -> Graph:
         return Graph.from_edges(n, [])
     if p >= 1.0:
         return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-    rng = derive_stream(subseed(seed, 0x676E70), 0)
+    rng = Stream(subseed(seed, 0x676E70), 0)
     log_q = math.log1p(-p)
     total = n * (n - 1) // 2
     edges = []
@@ -211,8 +211,7 @@ def forest_union_parts(spec: GeneratorSpec) -> tuple[Graph, tuple[tuple[tuple[in
     parts = []
     edges: list[tuple[int, int]] = []
     for j in range(a):
-        rng = derive_stream(subseed(spec.seed, 0x6675, j), 0)
-        order = rng.permutation(n)
+        order = Stream(subseed(spec.seed, 0x6675, j), 0).shuffle(list(range(n)))
         matching = []
         for t in range(0, n - 1, 2):
             u, v = order[t], order[t + 1]
@@ -227,16 +226,16 @@ class Orientation:
     """A direction for every edge; ``target[e]`` is the endpoint edge e points to.
 
     Out-edges point from a vertex toward its parents (the classic oriented-tree
-    convention: a vertex has an out-edge to each parent).
+    convention: a vertex has an out-edge to each parent).  Not checked for
+    cycles: ``orient_by_id``, ``orient_forest`` and ``h_partition`` build none.
     """
 
     graph: Graph
     target: tuple[int, ...]
-    acyclic: bool
     _out: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     @staticmethod
-    def from_targets(g: Graph, target, acyclic: bool) -> "Orientation":
+    def from_targets(g: Graph, target) -> "Orientation":
         out: list[list[int]] = [[] for _ in range(g.n)]
         for e, (u, v) in enumerate(g.edges):
             head = target[e]
@@ -244,9 +243,7 @@ class Orientation:
                 raise ValueError(f"edge {e} target {head} is not an endpoint")
             out[u + v - head].append(e)
         return Orientation(
-            graph=g, target=tuple(target), acyclic=acyclic,
-            _out=tuple(tuple(o) for o in out),
-        )
+            graph=g, target=tuple(target), _out=tuple(tuple(o) for o in out))
 
     def source(self, e: int) -> int:
         u, v = self.graph.edges[e]
@@ -262,10 +259,18 @@ class Orientation:
     def max_out_degree(self) -> int:
         return max((len(o) for o in self._out), default=0)
 
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the sources of the edges pointing at it, in vertex order."""
+        kids: list[list[int]] = [[] for _ in range(self.graph.n)]
+        for v, out in enumerate(self._out):
+            for e in out:
+                kids[self.target[e]].append(v)
+        return tuple(tuple(k) for k in kids)
+
 
 def orient_by_id(g: Graph) -> Orientation:
     """Orient every edge toward its higher-id endpoint (always acyclic)."""
-    return Orientation.from_targets(g, [v for _, v in g.edges], acyclic=True)
+    return Orientation.from_targets(g, [v for _, v in g.edges])
 
 
 def orient_forest(g: Graph) -> Orientation:
@@ -300,15 +305,14 @@ def orient_forest(g: Graph) -> Orientation:
             target.append(u)
         else:  # unreachable on a forest
             raise ValueError("graph is not a forest: non-tree edge")
-    return Orientation.from_targets(g, target, acyclic=True)
+    return Orientation.from_targets(g, target)
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """The line graph L(G) plus the edge-of-G -> vertex-of-L(G) mapping.
+def line_graph(g: Graph) -> Graph:
+    """The line graph L(G): vertex j of L(G) is edge j of G.
 
-    Vertex j of L(G) is edge j of G (the mapping is the identity on dense
-    edge indices, returned explicitly).  Two L-vertices are adjacent iff the
-    corresponding edges share an endpoint, so deg_L(e) = deg(u)+deg(v)-2.
+    Two L-vertices are adjacent iff the corresponding edges share an
+    endpoint, so deg_L(e) = deg(u)+deg(v)-2.
     """
     l_edges = []
     for v in range(g.n):
@@ -317,7 +321,7 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
             for j in range(i + 1, len(incident)):
                 a, b = incident[i], incident[j]
                 l_edges.append((a, b) if a < b else (b, a))
-    return Graph.from_edges(g.m, l_edges), tuple(range(g.m))
+    return Graph.from_edges(g.m, l_edges)
 
 
 def log_star(n: float) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 
 MAX_DRAW_COUNT = 1024
+MAX_FACTOR = 1024  # largest network-decomposition c, dominating-edge c and t
 
 
 def draw_count(c: float, n: int) -> int:

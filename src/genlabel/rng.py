@@ -47,14 +47,13 @@ def subseed(master_seed: int, *salts: int) -> int:
 
 
 class Stream:
-    """Private randomness stream of one node: (master_seed, node_id, counter)."""
+    """Private randomness stream of node ``node_id`` under ``master_seed``;
+    ``counter`` is the number of raw draws taken so far."""
 
-    __slots__ = ("master_seed", "node_id", "counter", "_base")
+    __slots__ = ("counter", "_base")
 
-    def __init__(self, master_seed: int, node_id: int, counter: int = 0):
-        self.master_seed = master_seed
-        self.node_id = node_id
-        self.counter = counter
+    def __init__(self, master_seed: int, node_id: int):
+        self.counter = 0
         self._base = stream_base(master_seed, node_id)
 
     def draw_u64(self) -> int:
@@ -90,22 +89,7 @@ class Stream:
         """``count`` independent uniform draws from [0, bound)."""
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        if bound > 1 << 64:
-            return [self._draw_wide(bound) for _ in range(count)]
-        base = self._base
-        ctr = self.counter
-        limit = (1 << 64) - ((1 << 64) % bound)
-        out = []
-        while len(out) < count:
-            ctr += 1
-            z = (base + ctr * GAMMA) & MASK64
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-            z ^= z >> 31
-            if z < limit:
-                out.append(z % bound)
-        self.counter = ctr
-        return out
+        return [self.draw_uniform(bound) for _ in range(count)]
 
     def draw_float(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
@@ -117,9 +101,6 @@ class Stream:
             j = self.draw_uniform(i + 1)
             items[i], items[j] = items[j], items[i]
         return items
-
-    def permutation(self, count: int) -> list[int]:
-        return self.shuffle(list(range(count)))
 
     def geometric(self, cap: int) -> int:
         """Number of heads before the first tail of a fair coin, truncated at cap."""
@@ -166,7 +147,3 @@ def draw_rows(master_seed: int, n: int, count: int, bound: int) -> list[list[int
             rows[v] = Stream(master_seed, v).draw_many(count, bound)
     return rows
 
-
-def derive_stream(master_seed: int, node_id: int) -> Stream:
-    """The private stream of node ``node_id`` under ``master_seed``."""
-    return Stream(master_seed, node_id)

@@ -17,7 +17,7 @@ from statistics import median_low
 
 from .graphs import Graph
 from .labels import LabelDomain
-from .rng import derive_stream, subseed
+from .rng import Stream, subseed
 
 EXHAUSTIVE_SELECTION_BUDGET = 1_000_000
 SAMPLED_SELECTIONS = 1000
@@ -124,7 +124,7 @@ def _selection_sweep(g: Graph, dom: LabelDomain) -> bool:
     if space <= EXHAUSTIVE_SELECTION_BUDGET:
         picks = product(*pools)
     else:
-        rng = derive_stream(subseed(0, 0x73656C), 0)
+        rng = Stream(subseed(0, 0x73656C), 0)
         picks = ([pool[rng.draw_uniform(len(pool))] for pool in pools]
                  for _ in range(SAMPLED_SELECTIONS))
     return all(check_proper_vertex(g, list(pick)).ok for pick in picks)

@@ -20,6 +20,15 @@ from .results import ColoringResult, DomainsResult
 from .rng import draw_rows
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
+
+def _degree_bound(g: Graph, delta_bound: int | None) -> int:
+    """The given degree bound, or the max degree if none; at least 1."""
+    delta = g.max_degree if delta_bound is None else delta_bound
+    if delta < g.max_degree:
+        raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
+    return max(delta, 1)
+
+
 # ---------------------------------------------------------------------------
 # 3-coloring of oriented forests and its domain expansion
 
@@ -49,8 +58,7 @@ class _ColeVishkinProgram(NodeProgram):
     proper.
     """
 
-    def __init__(self, parent: list[int], children: list[tuple[int, ...]], n: int):
-        self.parent = parent
+    def __init__(self, children: tuple[tuple[int, ...], ...], n: int):
         self.children = children
         self.rounds_reduce = _reduction_rounds(n)
 
@@ -92,18 +100,10 @@ def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
     """
     if orientation.graph is not g and orientation.graph != g:
         raise ValueError("orientation was built for a different graph")
-    if not orientation.acyclic:
-        raise ValueError("orientation must be acyclic")
     if orientation.max_out_degree > 1:
         bad = next(v for v in range(g.n) if orientation.out_degree(v) > 1)
         raise ValueError(f"not an oriented forest: vertex {bad} has out-degree > 1")
-    parent = [-1] * g.n
-    children: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for e in orientation.out_edges(v):
-            parent[v] = orientation.target[e]
-            children[parent[v]].append(v)
-    program = _ColeVishkinProgram(parent, [tuple(c) for c in children], g.n)
+    program = _ColeVishkinProgram(orientation.children(), g.n)
     report = run_sync(program, g, master_seed, max_rounds=_reduction_rounds(g.n) + 8)
     rounds_bound = log_star(max(g.n, 2))
     params = {
@@ -125,10 +125,8 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
     colors = list(coloring)
     if any(c not in (0, 1, 2) for c in colors):
         raise ValueError("expected a 3-coloring with colors in {0,1,2}")
-    domains = {
-        v: frozenset(i * 3 + c for i in range(delta))
-        for v, c in enumerate(colors)
-    }
+    by_color = [frozenset(range(c, 3 * delta, 3)) for c in (0, 1, 2)]
+    domains = {v: by_color[c] for v, c in enumerate(colors)}
     return LabelDomain(kind="vertex", domains=domains, palette=3 * delta, stride=3)
 
 
@@ -184,10 +182,7 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
     half of each set survives.  A vertex whose set empties marks the run
     failed (retry with a new seed).  Palette 2*delta*k.
     """
-    delta = g.max_degree if delta_bound is None else delta_bound
-    if delta < g.max_degree:
-        raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
-    delta = max(delta, 1)
+    delta = _degree_bound(g, delta_bound)
     k = draw_count(c, g.n)
     value_range = 2 * delta
     dom, report, failed = draw_and_prune(g, seed, k, value_range, g.adjacency, frozenset())
@@ -234,19 +229,6 @@ def _pick_reduction(n_colors: int, delta: int) -> tuple[int, int] | None:
     return best
 
 
-def reduction_schedule(n: int, delta: int, final_prime: int) -> list[tuple[int, int]]:
-    """The (d, q) reduction steps taken before the final residual round."""
-    steps = []
-    colors = max(n, 1)
-    while colors > final_prime**3:
-        step = _pick_reduction(colors, delta)
-        if step is None:
-            break
-        steps.append(step)
-        colors = step[1] ** 2
-    return steps
-
-
 class _PipelineProgram(NodeProgram):
     """Iterated cover-free color reduction ending in a residual-set round.
 
@@ -282,15 +264,22 @@ class _PipelineProgram(NodeProgram):
 
 
 def _plan_pipeline(n: int, delta: int, base_prime: int) -> tuple[list[tuple[int, int]], int]:
-    """Reduction steps against the base threshold, plus the final prime.
+    """The (d, q) reduction steps taken before the final residual round, while
+    the palette exceeds base_prime**3, plus the final prime.
 
     The final prime is bumped (rarely: only when no reduction could shrink the
     palette below base_prime**3) so its family always indexes every hand-off
     color.
     """
-    steps = reduction_schedule(n, delta, base_prime)
-    handoff = max(n, 1) if not steps else steps[-1][1] ** 2
-    q_final = smallest_prime_geq(max(base_prime, _iroot_ceil(handoff, 3)))
+    steps = []
+    colors = max(n, 1)
+    while colors > base_prime**3:
+        step = _pick_reduction(colors, delta)
+        if step is None:
+            break
+        steps.append(step)
+        colors = step[1] ** 2
+    q_final = smallest_prime_geq(max(base_prime, _iroot_ceil(colors, 3)))
     return steps, q_final
 
 
@@ -340,10 +329,7 @@ def generic_delta2_coloring(g: Graph, delta_bound: int | None = None,
     >= 3*delta: iterated cover-free reductions from the id-coloring, then one
     residual round that keeps every uncovered element (at least delta of them).
     """
-    delta = g.max_degree if delta_bound is None else delta_bound
-    if delta < g.max_degree:
-        raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
-    delta = max(delta, 1)
+    delta = _degree_bound(g, delta_bound)
     base = smallest_prime_geq(max(3 * delta, 2))
     steps, q_final = _plan_pipeline(g.n, delta, base)
     return _run_pipeline(g, delta, steps, q_final, rho=0, master_seed=master_seed)
@@ -356,12 +342,9 @@ def generic_defective_coloring(g: Graph, p: int, delta_bound: int | None = None,
     times.  Any joint selection has defect at most p because at most p
     neighbor sets can contain any kept element.
     """
-    delta = g.max_degree if delta_bound is None else delta_bound
-    if delta < g.max_degree:
-        raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
-    if not 1 <= p <= max(delta, 1):
-        raise ValueError(f"p must be in [1, {max(delta, 1)}], got {p}")
-    delta = max(delta, 1)
+    delta = _degree_bound(g, delta_bound)
+    if not 1 <= p <= delta:
+        raise ValueError(f"p must be in [1, {delta}], got {p}")
     q_base = smallest_prime_geq(max(math.ceil(3 * delta / (p + 1)), 2))
     steps, q_final = _plan_pipeline(g.n, delta, q_base)
     result = _run_pipeline(g, delta, steps, q_final, rho=p, master_seed=master_seed)

@@ -189,6 +189,50 @@ class TestRun:
                     assert doc["run"]["rounds"] == 0, tag
 
 
+# A repetition factor that would allocate or loop without bound.
+HUGE_PARAMS = [
+    ("network-decomposition", "c", 100_000_000, "c must be in [2, 1024]"),
+    ("dominating-edge", "c", 1_000_000_000, "c must be in [3, 1024]"),
+    ("dominating-edge", "t", 1_000_000_000, "t must be in [2, 1024]"),
+]
+
+
+def limited_cli(argv):
+    """genlabel in a child process limited to 2 GB of address space and 60 s,
+    so a run that grows or loops without bound fails alone."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from genlabel.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = Path(genlabel.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+class TestHugeParams:
+    @pytest.mark.parametrize("tag,key,value,message", HUGE_PARAMS)
+    def test_run_config_error(self, tag, key, value, message):
+        proc = limited_cli(["run", "--algo", tag, "--gen", "path:n=3",
+                            "--param", f"{key}={value}"])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: {message}, got {value}\n"
+
+    def test_bench_row_error_note(self, tmp_path):
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"name": f"row{i}", "algo": tag, "gen": "path:n=3",
+                                      "params": {key: value}}
+                                     for i, (tag, key, value, _) in enumerate(HUGE_PARAMS)]))
+        out = tmp_path / "table.txt"
+        proc = limited_cli(["bench", "--suite", str(suite), "--out", str(out)])
+        assert proc.returncode == EXIT_VERDICT
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == len(HUGE_PARAMS)
+        for row, (_, _, value, message) in zip(rows, HUGE_PARAMS):
+            assert "error" in row and f"{message}, got {value}" in row
+        assert "Traceback" not in proc.stderr
+
+
 class TestBench:
     def test_default_suite_covers_all_tags(self):
         assert {row["algo"] for row in DEFAULT_SUITE} == set(ALGORITHMS)

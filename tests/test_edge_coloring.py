@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from genlabel import GeneratorSpec, Graph, generate, line_graph
+from genlabel import GeneratorSpec, Graph, Stream, generate, line_graph
 from genlabel.edge_coloring import (
     dominating_edge_coloring,
     edge_class_of_color,
@@ -204,11 +204,9 @@ class TestDominating:
                     covered.update((u, v))
 
     def test_joint_selection_proper(self):
-        from genlabel.rng import derive_stream
-
         g = generate(GeneratorSpec("gnp", 256, p=5 / 255, seed=4))
         res = dominating_edge_coloring(g, c=3, t=3, seed=4)
-        rng = derive_stream(123, 0)
+        rng = Stream(123, 0)
         for _ in range(200):
             labels: list = [None] * g.m
             for e in sorted(res.dominating):
@@ -255,15 +253,14 @@ class TestLineGraphEquivalence:
         for m in range(0, 7):
             for subset in combos(pairs, m):
                 g = Graph.from_edges(6, subset)
-                lg, mapping = line_graph(g)
+                lg = line_graph(g)
                 for part in partitions(list(range(m))):
                     labels = [0] * m
                     for color, block in enumerate(part):
                         for e in block:
                             labels[e] = color
                     edge_side = check_edge_properness(g, labels).ok
-                    vertex_side = check_proper_vertex(
-                        lg, [labels[e] for e in mapping]).ok
+                    vertex_side = check_proper_vertex(lg, labels).ok
                     assert edge_side == vertex_side
                     checked += 1
         assert checked > 100_000

@@ -8,42 +8,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlabel
-from genlabel import Graph, GeneratorSpec, derive_stream, generate, run_sync, subseed
-from genlabel.rng import Stream, draw_rows
-from genlabel.runtime import NodeProgram
+from genlabel import Graph, GeneratorSpec, generate, run_sync, subseed
+from genlabel.rng import GAMMA, MASK64, Stream, draw_rows, mix64, stream_base
+from genlabel.runtime import NodeProgram, RunReport
 
 
 class TestStreams:
     def test_replay_identical(self):
-        a = derive_stream(1, 0)
-        b = derive_stream(1, 0)
+        a = Stream(1, 0)
+        b = Stream(1, 0)
         assert [a.draw_u64() for _ in range(50)] == [b.draw_u64() for _ in range(50)]
 
     def test_nodes_distinct_over_many_seeds(self):
         distinct = sum(
-            derive_stream(seed, 0).draw_u64() != derive_stream(seed, 1).draw_u64()
+            Stream(seed, 0).draw_u64() != Stream(seed, 1).draw_u64()
             for seed in range(10_000)
         )
         assert distinct >= 9_990  # overwhelming empirical frequency
 
     def test_bound_one_always_zero(self):
-        s = derive_stream(3, 3)
+        s = Stream(3, 3)
         assert all(s.draw_uniform(1) == 0 for _ in range(20))
 
     def test_draw_many_matches_scalar_path(self):
-        a = derive_stream(9, 4)
-        b = derive_stream(9, 4)
+        a = Stream(9, 4)
+        b = Stream(9, 4)
         assert a.draw_many(100, 7) == [b.draw_uniform(7) for _ in range(100)]
 
     def test_bounds_above_two_to_the_64_terminate(self):
         """Draws wider than one 64-bit word once looped forever.  They run in a
         child process, so a regression fails on the timeout instead of hanging
         the suite; a bound of exactly 2**64 stays a single raw word."""
-        a, b = derive_stream(9, 4), derive_stream(9, 4)
+        a, b = Stream(9, 4), Stream(9, 4)
         assert a.draw_many(5, 2**64) == [b.draw_u64() for _ in range(5)]
         code = (
-            "from genlabel import PolyFamily, derive_stream, verify_cover_free\n"
-            "s = derive_stream(0, 0)\n"
+            "from genlabel import PolyFamily, Stream, verify_cover_free\n"
+            "s = Stream(0, 0)\n"
             "assert 0 <= s.draw_uniform(2**64 + 1) < 2**64 + 1\n"
             "values = s.draw_many(3, 2**70)\n"
             "assert len(values) == 3 and all(0 <= x < 2**70 for x in values)\n"
@@ -55,6 +55,28 @@ class TestStreams:
                               text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("bound", [7, 2**63 + 1, 2**64, 2**64 + 1])
+    def test_draw_many_follows_documented_rule(self, seed, bound):
+        """draw_many against the documented rule, written out here: raw draw j
+        of stream (s, v) is mix64(stream_base(s, v) + j*GAMMA); a value reads as
+        many raw words as the bound needs, the first most significant, and is
+        rejected at or above the largest multiple of the bound that fits."""
+        words = -(-(bound - 1).bit_length() // 64)
+        span = 1 << (64 * words)
+        limit = span - span % bound
+        for node, count in ((0, 40), (3, 9)):
+            base = stream_base(seed, node)
+            j, expected = 0, []
+            while len(expected) < count:
+                value = 0
+                for _ in range(words):
+                    j += 1
+                    value = (value << 64) | mix64((base + j * GAMMA) & MASK64)
+                if value < limit:
+                    expected.append(value % bound)
+            assert Stream(seed, node).draw_many(count, bound) == expected
 
     @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
     @pytest.mark.parametrize("bound", [1, 7, 40, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1])
@@ -88,15 +110,15 @@ class TestStreams:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 1000), st.integers(2, 97))
     @settings(max_examples=50, deadline=None)
     def test_uniform_in_range(self, seed, node, bound):
-        s = derive_stream(seed, node)
+        s = Stream(seed, node)
         assert all(0 <= s.draw_uniform(bound) < bound for _ in range(30))
 
     def test_permutation_is_permutation(self):
-        s = derive_stream(5, 1)
-        assert sorted(s.permutation(40)) == list(range(40))
+        s = Stream(5, 1)
+        assert sorted(s.shuffle(list(range(40)))) == list(range(40))
 
     def test_geometric_truncation(self):
-        s = derive_stream(11, 2)
+        s = Stream(11, 2)
         draws = [s.geometric(6) for _ in range(2000)]
         assert all(0 <= d <= 6 for d in draws)
         # fair-coin geometric: roughly half the draws are 0
@@ -190,6 +212,24 @@ class TestEngine:
         for v in (0, 1, 2):  # radius-2 balls around 0..2 agree in both graphs
             assert r_base.outputs[v] == r_mut.outputs[v]
         assert r_base.outputs[4] != r_mut.outputs[4]  # ball differs here
+
+    def test_sweep_counts_every_round_as_communication(self):
+        rep = RunReport.sweep(7, 30, seed=5)
+        assert (rep.rounds, rep.comm_rounds, rep.messages_total) == (7, 7, 30)
+        assert rep.seed == 5 and not rep.incomplete and rep.outputs == ()
+        assert RunReport.sweep(2, 0, seed=5, incomplete=True).incomplete
+
+    def test_parallel_and_sequential_composition(self):
+        a = RunReport(rounds=4, comm_rounds=3, messages_total=10, seed=1)
+        b = RunReport(rounds=6, comm_rounds=2, messages_total=5, seed=2, incomplete=True)
+        par = RunReport.parallel([a, b], seed=9)
+        assert (par.rounds, par.comm_rounds, par.messages_total) == (6, 3, 15)
+        assert par.incomplete and par.seed == 9 and par.outputs == ()
+        assert not RunReport.parallel([a, a], seed=9).incomplete
+        seq = RunReport.sequential([a, b], seed=9)
+        assert (seq.rounds, seq.comm_rounds, seq.messages_total) == (10, 5, 15)
+        assert seq.incomplete
+        assert RunReport.parallel([], seed=9) == RunReport.sweep(0, 0, seed=9)
 
     def test_seed_changes_transcript(self):
         g = generate(GeneratorSpec("path", 6))

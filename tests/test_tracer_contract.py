@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/layers.py) rebinds genlabel functions by
+name from outside the package.  These tests run it in a child process over
+four golden invocations: the traced reports must equal the goldens, and each
+traced layer must record work, so a refactor that renames or bypasses a
+rebound name fails here instead of silently zeroing a per-layer metric."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import genlabel
+from test_golden_reports import CASES
+
+ROOT = Path(__file__).resolve().parents[1]
+TAGS = ("random-coloring", "network-decomposition", "dominating-edge", "edge-delta2")
+TRACED = [case for case in CASES for tag in TAGS
+          if case[0].startswith(f"run --algo {tag} ") and "--seed 0 --format json" in case[0]]
+LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s", "graphs.line_graph_s",
+          "coverfree.set_elements_calls", "verify.check_s")
+
+CHILD = """
+import hashlib, json, sys, time
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from layers import Tracer
+tracer = Tracer(time.perf_counter())
+tracer.install()
+from genlabel.cli import main
+results = []
+for i, command in enumerate(json.loads(sys.argv[3])):
+    out = Path(sys.argv[2]) / str(i)
+    code = main(command.split() + ["--out", str(out)])
+    results.append([code, hashlib.sha256(out.read_bytes()).hexdigest()])
+print(json.dumps({"results": results, "setup": tracer.setup}))
+"""
+
+
+def test_traced_reports_match_goldens_and_layers_record(tmp_path):
+    assert len(TRACED) == len(TAGS)
+    src = Path(genlabel.__file__).resolve().parents[1]
+    commands = [command for command, _, _ in TRACED]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ROOT / "perfbench"), str(tmp_path),
+         json.dumps(commands)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    assert traced["results"] == [[code, digest] for _, code, digest in TRACED]
+    for metric in LAYERS:
+        assert traced["setup"].get(metric, 0) > 0, metric

@@ -4,8 +4,8 @@ from genlabel import (
     GeneratorSpec,
     Graph,
     PolyFamily,
+    Stream,
     cole_vishkin_3coloring,
-    derive_stream,
     expand_to_generic,
     generate,
     generic_defective_coloring,
@@ -107,8 +107,8 @@ class TestRandomColoring:
         k, rng_range = 4, 4  # delta_bound=2 -> range 4: collisions are common
         found = False
         for seed in range(200):
-            d0 = derive_stream(seed, 0).draw_many(k, rng_range)
-            d1 = derive_stream(seed, 1).draw_many(k, rng_range)
+            d0 = Stream(seed, 0).draw_many(k, rng_range)
+            d1 = Stream(seed, 1).draw_many(k, rng_range)
             shared = {i * rng_range + x for (i, x), y in zip(enumerate(d0), d1) if x == y}
             if not shared:
                 continue
