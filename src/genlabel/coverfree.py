@@ -7,11 +7,16 @@ a*q + g(a).  Distinct polynomials agree on at most d abscissas, so any set is
 covered by Delta = ceil(q/d) - 1 others in fewer than q points, and more
 generally some element survives being hit rho+1 times whenever
 Delta <= ceil(q*(rho+1)/d) - 1.
+
+These are the cover-free families of Erdős, Frankl and Füredi (1985) as used
+by Linial's colour reduction ("Locality in distributed graph algorithms",
+1992).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from math import comb
 
 from .rng import Stream, subseed
@@ -49,10 +54,17 @@ def smallest_prime_geq(x: int) -> int:
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """The q^(d+1) point sets of all polynomials of degree <= d over GF(q)."""
+    """The q^(d+1) point sets of all polynomials of degree <= d over GF(q).
+
+    ``elements`` computes each point set once and keeps it for the lifetime
+    of the instance; the memo is not part of equality, hashing or repr.  A
+    pipeline run builds its own families, so its memo ends with the run.
+    """
 
     q: int
     d: int
+    _memo: dict[int, frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_prime(self.q):
@@ -86,13 +98,22 @@ class PolyFamily:
         """S_g as encoded ground elements a*q + g(a); always exactly q of them."""
         q = self.q
         coeffs = self.coefficients(index)
-        out = []
+        out = set()
         for a in range(q):
             acc = 0
             for c in reversed(coeffs):
                 acc = (acc * a + c) % q
-            out.append(a * q + acc)
+            out.add(a * q + acc)
+        # Copied from a set, the frozenset's table is sized to fit: about half
+        # the memory of one grown from a list, which counts once sets are kept.
         return frozenset(out)
+
+    def elements(self, index: int) -> frozenset[int]:
+        """``set_elements(index)``, computed on the first call only."""
+        found = self._memo.get(index)
+        if found is None:
+            found = self._memo[index] = self.set_elements(index)
+        return found
 
 
 def residual_elements(fam: PolyFamily, s0: int, others, rho: int = 0) -> list[int]:
@@ -106,11 +127,11 @@ def residual_elements(fam: PolyFamily, s0: int, others, rho: int = 0) -> list[in
         raise ValueError("s0 must not appear among the covering sets")
     if rho < 0:
         raise ValueError(f"rho must be non-negative, got {rho}")
-    counts: dict[int, int] = {}
+    mine = fam.elements(s0)
+    hits = Counter()
     for j in others:
-        for x in fam.set_elements(j):
-            counts[x] = counts.get(x, 0) + 1
-    return sorted(x for x in fam.set_elements(s0) if counts.get(x, 0) <= rho)
+        hits.update(mine.intersection(fam.elements(j)))
+    return sorted(x for x in mine if hits[x] <= rho)
 
 
 @dataclass(frozen=True)
@@ -134,21 +155,6 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
     n = fam.family_size
     if delta < 1 or delta >= n:
         raise ValueError(f"delta must be in [1, {n - 1}], got {delta}")
-    memo: dict[int, frozenset[int]] = {}
-
-    def elements(i: int) -> frozenset[int]:
-        cached = memo.get(i)
-        if cached is None:
-            cached = memo[i] = fam.set_elements(i)
-        return cached
-
-    def covered(s0: int, others) -> bool:
-        counts: dict[int, int] = {}
-        for j in others:
-            for x in elements(j):
-                counts[x] = counts.get(x, 0) + 1
-        return all(counts.get(x, 0) >= rho + 1 for x in elements(s0))
-
     checked = 0
     if mode == "exhaustive":
         from itertools import combinations
@@ -161,7 +167,7 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
             pool = [j for j in range(n) if j != s0]
             for others in combinations(pool, delta):
                 checked += 1
-                if covered(s0, others):
+                if not residual_elements(fam, s0, others, rho):
                     return CoverFreeVerdict(False, mode, checked, (s0, *others))
         return CoverFreeVerdict(True, mode, checked)
     if mode == "sampled":
@@ -175,7 +181,7 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
                     others.add(j)
             checked += 1
             ordered = tuple(sorted(others))
-            if covered(s0, ordered):
+            if not residual_elements(fam, s0, ordered, rho):
                 return CoverFreeVerdict(False, mode, checked, (s0, *ordered))
         return CoverFreeVerdict(True, mode, checked)
     raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")

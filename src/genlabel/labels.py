@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 MAX_DRAW_COUNT = 1024
 MAX_FACTOR = 1024  # largest network-decomposition c, dominating-edge c and t
+MAX_DELTA = 65536  # largest delta parameter; palettes and point sets grow with it
 
 
 def draw_count(c: float, n: int) -> int:

@@ -15,14 +15,17 @@ from operator import add
 
 from .coverfree import PolyFamily, residual_elements, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
-from .labels import LabelDomain, draw_count
+from .labels import MAX_DELTA, LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
 from .rng import draw_rows
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 
 def _degree_bound(g: Graph, delta_bound: int | None) -> int:
-    """The given degree bound, or the max degree if none; at least 1."""
+    """The given degree bound, or the max degree if none; at least 1.  A given
+    bound above MAX_DELTA is refused before anything is sized by it."""
+    if delta_bound is not None and delta_bound > MAX_DELTA:
+        raise ValueError(f"delta must be at most {MAX_DELTA}, got {delta_bound}")
     delta = g.max_degree if delta_bound is None else delta_bound
     if delta < g.max_degree:
         raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
@@ -122,6 +125,8 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
+    if delta > MAX_DELTA:
+        raise ValueError(f"delta must be at most {MAX_DELTA}, got {delta}")
     colors = list(coloring)
     if any(c not in (0, 1, 2) for c in colors):
         raise ValueError("expected a 3-coloring with colors in {0,1,2}")
@@ -196,9 +201,7 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
 
 def _reduce_color(fam: PolyFamily, node: int, color: int, neighbor_colors) -> int:
     """The smallest element of ``color``'s set that no neighbor's set covers."""
-    mine = set(fam.set_elements(color))
-    for theirs in neighbor_colors:
-        mine -= fam.set_elements(theirs)
+    mine = fam.elements(color).difference(*[fam.elements(c) for c in neighbor_colors])
     if not mine:
         raise ValueError(
             f"vertex {node}: no uncovered element left; input coloring improper?")

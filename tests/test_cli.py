@@ -194,7 +194,11 @@ HUGE_PARAMS = [
     ("network-decomposition", "c", 100_000_000, "c must be in [2, 1024]"),
     ("dominating-edge", "c", 1_000_000_000, "c must be in [3, 1024]"),
     ("dominating-edge", "t", 1_000_000_000, "t must be in [2, 1024]"),
+    ("delta2-coloring", "delta", 1_000_000_000, "delta must be at most 65536"),
+    ("defective-coloring", "delta", 1_000_000_000, "delta must be at most 65536"),
+    ("cv3-expansion", "delta", 1_000_000_000, "delta must be at most 65536"),
 ]
+REQUIRED = {"defective-coloring": {"p": 1}}  # params a tag needs besides the huge one
 
 
 def limited_cli(argv):
@@ -213,15 +217,16 @@ def limited_cli(argv):
 class TestHugeParams:
     @pytest.mark.parametrize("tag,key,value,message", HUGE_PARAMS)
     def test_run_config_error(self, tag, key, value, message):
+        params = {**REQUIRED.get(tag, {}), key: value}
         proc = limited_cli(["run", "--algo", tag, "--gen", "path:n=3",
-                            "--param", f"{key}={value}"])
+                            *[f"--param={k}={v}" for k, v in params.items()]])
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == f"error: {message}, got {value}\n"
 
     def test_bench_row_error_note(self, tmp_path):
         suite = tmp_path / "s.json"
         suite.write_text(json.dumps([{"name": f"row{i}", "algo": tag, "gen": "path:n=3",
-                                      "params": {key: value}}
+                                      "params": {**REQUIRED.get(tag, {}), key: value}}
                                      for i, (tag, key, value, _) in enumerate(HUGE_PARAMS)]))
         out = tmp_path / "table.txt"
         proc = limited_cli(["bench", "--suite", str(suite), "--out", str(out)])

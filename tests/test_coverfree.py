@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genlabel import (
+    GeneratorSpec,
     PolyFamily,
+    generate,
+    generic_defective_coloring,
+    generic_delta2_coloring,
     residual_elements,
     smallest_prime_geq,
     verify_cover_free,
@@ -111,6 +116,22 @@ class TestResidual:
                 assert residual_elements(fam, s0, others, rho) == naive_residual(
                     5, 2, s0, others, rho)
 
+    @given(st.data(), st.sampled_from([(3, 1), (5, 1), (5, 2), (7, 2)]),
+           st.sampled_from([0, 1, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_others_match_naive_recount(self, data, qd, rho):
+        """A covering set listed twice counts twice."""
+        q, d = qd
+        fam = PolyFamily(q=q, d=d)
+        n = fam.family_size
+        s0 = data.draw(st.integers(0, n - 1))
+        pool = st.integers(0, n - 1).filter(lambda j: j != s0)
+        distinct = data.draw(st.lists(pool, min_size=1, max_size=4, unique=True))
+        repeats = data.draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=4))
+        others = data.draw(st.permutations(distinct + repeats))
+        assert residual_elements(fam, s0, others, rho) == naive_residual(
+            q, d, s0, others, rho)
+
     def test_residual_bound_d2_q7_sampled(self):
         # any 2 other sets leave at least q - d*2 = 3 >= Delta elements
         fam = PolyFamily(q=7, d=2)
@@ -166,3 +187,36 @@ class TestVerifyCoverFree:
     def test_cover_free_degree_formula(self):
         assert PolyFamily(q=7, d=2).cover_free_degree == 3  # ceil(7/2)-1
         assert PolyFamily(q=5, d=1).cover_free_degree == 4
+
+
+class TestFamilyMemo:
+    def test_equality_and_hash_ignore_the_memo(self):
+        used, fresh = PolyFamily(q=7, d=2), PolyFamily(q=7, d=2)
+        for i in range(0, 343, 5):
+            assert used.elements(i) == fresh.set_elements(i)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == "PolyFamily(q=7, d=2)"
+        assert PolyFamily(q=7, d=1) != fresh
+
+    @pytest.mark.parametrize("run", [
+        lambda g: generic_delta2_coloring(g),
+        lambda g: generic_defective_coloring(g, p=1),
+    ], ids=["delta2", "defective"])
+    def test_pipeline_computes_each_set_once(self, monkeypatch, run):
+        """Every (family instance, index) point set is computed at most once
+        per run, over the reduction steps and the residual round alike."""
+        calls = Counter()
+        families = []  # kept alive so that id() stays unique
+        original = PolyFamily.set_elements
+
+        def counted(fam, index):
+            families.append(fam)
+            calls[id(fam), index] += 1
+            return original(fam, index)
+
+        monkeypatch.setattr(PolyFamily, "set_elements", counted)
+        g = generate(GeneratorSpec("random-tree", 2000, max_deg=3, seed=3))
+        res = run(g)
+        assert res.params["reduction_steps"] and not res.failed
+        assert len({id(f) for f in families}) > 1
+        assert calls and max(calls.values()) == 1
