@@ -42,7 +42,7 @@ print(f"\ndefective edge coloring (i={i}): {kuhn.palette_size} colors in "
 # class its own t-color range.
 dom = dominating_edge_coloring(graph, c=3, t=3, seed=3)
 print(f"\ndominating set: {len(dom.dominating)} of {graph.m} edges, "
-      f"{dom.class_count} classes, dominating: "
+      f"{dom.params['classes']} classes, dominating: "
       f"{check_edge_dominating(graph, dom.dominating).ok}")
 m = metrics(dom.domains)
 print(f"palette {m.problem_domain_size}, solution domain {m.solution_domain_min}, "

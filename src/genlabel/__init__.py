@@ -56,7 +56,6 @@ from .vertex_coloring import (
     generic_defective_coloring,
     generic_delta2_coloring,
     generic_random_coloring,
-    linial_reduce_round,
 )
 
 __version__ = "0.1.0"

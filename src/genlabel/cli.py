@@ -106,9 +106,11 @@ def parse_gen_spec(text: str) -> GeneratorSpec:
 
 # ---------------------------------------------------------------------------
 # runners: each executes one algorithm and its checkers and returns
-# (report body, verdicts).  Runners look up the algorithm entry points and
-# verify.check_* by module-global name at call time, so a tracer that rebinds
-# those names sees every call.
+# (report body, verdicts).  A tag's schema keys are its entry point's keywords,
+# so a runner passes **params and every default lives in the entry point's
+# signature.  Runners look up the entry points and verify.check_* by
+# module-global name at call time, so a tracer that rebinds those names sees
+# every call.
 
 
 def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None = None,
@@ -128,15 +130,13 @@ def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None 
 
 
 def _random_coloring(g: Graph, seed: int, params: dict):
-    res = generic_random_coloring(g, c=params.get("c", 4.0), seed=seed,
-                                  delta_bound=params.get("delta"))
+    res = generic_random_coloring(g, seed=seed, **params)
     verdicts = [verify.check_domains_disjoint(g, res.domains)]
     return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
 
 
 def _delta2_coloring(g: Graph, seed: int, params: dict):
-    res = generic_delta2_coloring(g, delta_bound=params.get("delta"),
-                                  master_seed=seed)
+    res = generic_delta2_coloring(g, seed=seed, **params)
     floor = max(1, params.get("delta") or g.max_degree or 1)
     verdicts = [verify.check_domains_disjoint(g, res.domains),
                 verify.check_domain_floor(res.domains, floor)]
@@ -144,16 +144,14 @@ def _delta2_coloring(g: Graph, seed: int, params: dict):
 
 
 def _defective_coloring(g: Graph, seed: int, params: dict):
-    res = generic_defective_coloring(g, p=params["p"],
-                                     delta_bound=params.get("delta"),
-                                     master_seed=seed)
+    res = generic_defective_coloring(g, seed=seed, **params)
     verdict, worst = verify.check_defective_domains(g, res.domains, params["p"])
     return _body(res.params, res.report, [verdict], res.domains, res.failed,
                  {"measured_defect": worst}), [verdict]
 
 
 def _cv3_expansion(g: Graph, seed: int, params: dict):
-    colored = cole_vishkin_3coloring(g, orient_forest(g), master_seed=seed)
+    colored = cole_vishkin_3coloring(g, orient_forest(g), seed=seed)
     delta = params.get("delta") or max(g.max_degree, 1)
     dom = expand_to_generic(colored.colors, delta)
     verdicts = [verify.check_proper_vertex(g, colored.colors),
@@ -163,16 +161,15 @@ def _cv3_expansion(g: Graph, seed: int, params: dict):
 
 
 def _network_decomposition(g: Graph, seed: int, params: dict):
-    c = params.get("c", 2)
-    res = generic_network_decomposition(g, c=c, seed=seed,
-                                        radius_cap=params.get("B"))
+    params = dict(params)
+    budget = params.pop("label_budget", None)
+    res = generic_network_decomposition(g, seed=seed, radius_cap=params.pop("B", None),
+                                        **params)
     bound = 2 * res.params["radius_cap"]
-    if "label_budget" in params:
-        budget = params["label_budget"]
-        if budget < 1:
-            raise ConfigError(f"label_budget must be >= 1, got {budget}")
-    else:
-        budget = c * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
+    if budget is None:
+        budget = res.params["c"] * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
+    elif budget < 1:
+        raise ConfigError(f"label_budget must be >= 1, got {budget}")
     verdict, measured = verify.check_network_decomposition(
         g, res.domains, bound, budget)
     return _body(res.params, res.report, [verdict], res.domains, res.failed, {
@@ -183,8 +180,7 @@ def _network_decomposition(g: Graph, seed: int, params: dict):
 
 
 def _forest(g: Graph, seed: int, params: dict, mode: str):
-    labeling, dom, report = forest_decomposition(
-        g, mode=mode, a=params.get("a"), eps=params.get("eps", 1.0), seed=seed)
+    labeling, dom, report = forest_decomposition(g, mode=mode, seed=seed, **params)
     verdicts = [verify.check_forest_labeling(
         g, labeling.edge_labels, labeling.assigner, labeling.forest_count)]
     edges = [
@@ -197,22 +193,19 @@ def _forest(g: Graph, seed: int, params: dict, mode: str):
 
 
 def _arboricity_coloring(g: Graph, seed: int, params: dict):
-    res = arboricity_generic_coloring(g, a=params["a"],
-                                      eps=params.get("eps", 1.0),
-                                      c=params.get("c", 4.0), seed=seed)
+    res = arboricity_generic_coloring(g, seed=seed, **params)
     verdicts = [verify.check_domains_disjoint(g, res.domains)]
     return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
 
 
 def _line_graph_coloring(g: Graph, seed: int, params: dict, variant: str):
-    res = edge_coloring_via_line_graph(g, variant=variant,
-                                       c=params.get("c", 4.0), seed=seed)
+    res = edge_coloring_via_line_graph(g, variant=variant, seed=seed, **params)
     verdicts = [verify.check_edge_domains_disjoint(g, res.domains)]
     return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
 
 
 def _kuhn_edge(g: Graph, seed: int, params: dict):
-    res = kuhn_defective_edge_coloring(g, i=params["i"], seed=seed)
+    res = kuhn_defective_edge_coloring(g, seed=seed, **params)
     verdict, worst = verify.check_edge_defect(g, res.colors, res.defect_bound)
     metrics = {
         "problem_domain_size": res.palette_size,
@@ -226,11 +219,9 @@ def _kuhn_edge(g: Graph, seed: int, params: dict):
 
 
 def _dominating_edge(g: Graph, seed: int, params: dict):
-    res = dominating_edge_coloring(g, c=params.get("c", 3),
-                                   t=params.get("t", 3), seed=seed,
-                                   max_rounds=params.get("max_rounds"))
+    res = dominating_edge_coloring(g, seed=seed, **params)
     verdicts = [verify.check_edge_dominating(g, res.dominating)]
-    for cls in range(1, res.class_count + 1):
+    for cls in range(1, res.params["classes"] + 1):
         members = [e for e in sorted(res.dominating) if res.class_of[e] == cls]
         sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
         verdicts.append(replace(verify.check_matching(sub, range(sub.m)),
@@ -250,7 +241,7 @@ def _dominating_edge(g: Graph, seed: int, params: dict):
 
 
 class Algorithm(NamedTuple):
-    """One algorithm tag: its ``--param`` schema {param: (type, required)},
+    """One algorithm tag: its ``--param`` schema {keyword: (type, required)},
     its runner (graph, seed, params) -> (report body, verdicts), and the
     name, generator spec and params of its row in the built-in bench suite."""
 
@@ -299,7 +290,7 @@ ALGORITHMS: dict[str, Algorithm] = {
         {"i": (int, True)}, _kuhn_edge,
         "defective edge coloring", "gnp:n=256,p=0.04", {"i": 2}),
     "dominating-edge": Algorithm(
-        {"c": (int, False), "t": (int, False), "max_rounds": (int, False)},
+        {"c": (int, False), "t": (int, False)},
         _dominating_edge,
         "dominating-set edge coloring", "gnp:n=256,p=0.02"),
 }
@@ -324,8 +315,6 @@ def _graph_from_args(args, seed: int) -> tuple[Graph, dict]:
 def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> dict:
     """Run one algorithm and its checkers; the report's "status" field is
     "ok", "verdict-failure", or "incomplete"."""
-    if tag not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm tag {tag!r}")
     body, verdicts = ALGORITHMS[tag].run(g, seed, params)
     incomplete = body["run"]["incomplete"] or bool(body["failed"])
     status = ("incomplete" if incomplete
@@ -377,15 +366,11 @@ def cmd_run(args) -> int:
     try:
         params = parse_params(args.algo, args.param or [])
         g, source = _graph_from_args(args, args.seed)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         doc = build_report(args.algo, g, source, args.seed, params)
     except ArboricityError as exc:
         print(f"error: {exc} (witness: {list(exc.witness)[:16]}...)", file=sys.stderr)
         return EXIT_VERDICT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _emit((json.dumps(doc, indent=2) + "\n") if args.format == "json"

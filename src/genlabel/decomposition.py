@@ -214,7 +214,7 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None,
     raise ValueError(f"engine must be 'fast' or 'program', got {engine!r}")
 
 
-def generic_network_decomposition(g: Graph, c: int, seed: int = 0,
+def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
                                   radius_cap: int | None = None) -> DomainsResult:
     """Run c independent clustering executions simultaneously; vertex v's
     domain is {(execution i, cluster of v in run i)}, always of size c.

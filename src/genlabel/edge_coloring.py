@@ -33,9 +33,9 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
     lg = line_graph(g)
     bound = max(1, 2 * g.max_degree - 1)
     if variant == "random":
-        base = generic_random_coloring(lg, c=c, seed=seed, delta_bound=bound)
+        base = generic_random_coloring(lg, c=c, seed=seed, delta=bound)
     elif variant == "delta2":
-        base = generic_delta2_coloring(lg, delta_bound=bound, master_seed=seed)
+        base = generic_delta2_coloring(lg, delta=bound, seed=seed)
     else:
         raise ValueError(f"variant must be 'random' or 'delta2', got {variant!r}")
     dom = LabelDomain(kind="edge", domains=base.domains.domains, palette=base.domains.palette,
@@ -62,14 +62,13 @@ class KuhnEdgeColoring:
     """Final edge colors as canonical indices into the unordered-pair palette.
 
     ``numbering[v]`` is vertex v's assignment table: (neighbor, number) per
-    incident edge, each number used on at most ``multiplicity`` of them.
+    incident edge, each of the ``params["numbers"]`` numbers used on at most
+    ``params["i"]`` of them.
     """
 
     colors: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
     palette: tuple[tuple[int, int], ...]
-    numbers: int
-    multiplicity: int
     numbering: tuple[tuple[tuple[int, int], ...], ...]
     defect_bound: int
     report: RunReport
@@ -136,8 +135,7 @@ def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeCol
         colors.append(index[pair])
     params = {"i": i, "numbers": numbers, "palette_size": len(palette)}
     return KuhnEdgeColoring(colors=tuple(colors), pairs=tuple(pairs),
-                            palette=tuple(palette), numbers=numbers,
-                            multiplicity=i,
+                            palette=tuple(palette),
                             numbering=tuple(out[0] for out in report.outputs),
                             defect_bound=4 * i - 2, report=report, params=params)
 
@@ -149,7 +147,6 @@ def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeCol
 @dataclass(frozen=True)
 class EdgeColoring:
     colors: tuple[int | None, ...]
-    palette_size: int
     report: RunReport
 
 
@@ -191,7 +188,7 @@ class _ProposalColoringProgram(NodeProgram):
 
 
 def simple_edge_coloring(g: Graph, palette_size: int | None = None,
-                         seed: int = 0, max_rounds: int | None = None) -> EdgeColoring:
+                         seed: int = 0) -> EdgeColoring:
     """Proper edge coloring by repeated random proposals on the line graph.
 
     Needs a palette of at least 2*max_degree - 1 (so a free color always
@@ -202,10 +199,9 @@ def simple_edge_coloring(g: Graph, palette_size: int | None = None,
     palette = 3 * delta if palette_size is None else palette_size
     if palette < 2 * delta - 1:
         raise ValueError(f"palette {palette} below 2*max_degree-1 = {2 * delta - 1}")
-    budget = max_rounds if max_rounds is not None else 24 * (int(math.log2(g.m + 2)) + 2)
     report = run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
-                      max_rounds=budget)
-    return EdgeColoring(colors=report.outputs, palette_size=palette, report=report)
+                      max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
+    return EdgeColoring(colors=report.outputs, report=report)
 
 
 @dataclass(frozen=True)
@@ -259,16 +255,15 @@ class _MatchingProgram(NodeProgram):
         return state[1]
 
 
-def maximal_matching(g: Graph, seed: int = 0,
-                     max_rounds: int | None = None) -> Matching:
+def maximal_matching(g: Graph, seed: int = 0) -> Matching:
     """Distributed maximal matching by symmetric random proposals.
 
     The globally strongest eligible edge always matches, so progress is
-    guaranteed; with high probability the run finishes within the default
-    logarithmic round budget, else it is flagged incomplete.
+    guaranteed; with high probability the run finishes within its logarithmic
+    round budget, else it is flagged incomplete.
     """
-    budget = max_rounds if max_rounds is not None else 48 * (int(math.log2(g.n + 2)) + 2)
-    report = run_sync(_MatchingProgram(), g, seed, max_rounds=budget)
+    report = run_sync(_MatchingProgram(), g, seed,
+                      max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
     matched = set()
     for v in range(g.n):
         u = report.outputs[v]
@@ -284,11 +279,11 @@ def maximal_matching(g: Graph, seed: int = 0,
 @dataclass(frozen=True)
 class DominatingColoredSet:
     """A dominating edge set split into per-class matchings with disjoint
-    per-class color ranges: class i edges may pick any of its t colors."""
+    per-class color ranges: class i edges may pick any of its t colors, for
+    the ``params["classes"]`` classes."""
 
     dominating: frozenset[int]
     class_of: tuple[int, ...]
-    class_count: int
     domains: LabelDomain
     report: RunReport
     params: dict = field(default_factory=dict)
@@ -299,8 +294,8 @@ def edge_class_of_color(color: int, class_width: int) -> int:
     return color // class_width + 1
 
 
-def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
-                             max_rounds: int | None = None) -> DominatingColoredSet:
+def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
+                             seed: int = 0) -> DominatingColoredSet:
     """Colored edge dominating set: properly color edges with c*max_degree
     colors, split the palette into ceil(sqrt(max_degree)) classes, compute one
     maximal matching per class, and give class i's matching the color range
@@ -322,8 +317,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
     base_palette = c * delta
     width = -(-base_palette // s)
     coloring = simple_edge_coloring(g, palette_size=base_palette,
-                                    seed=subseed(seed, 0x6563),
-                                    max_rounds=max_rounds)
+                                    seed=subseed(seed, 0x6563))
     class_of = tuple(
         edge_class_of_color(col, width) if col is not None else 0
         for col in coloring.colors)
@@ -332,8 +326,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
     for cls in range(1, s + 1):
         members = [e for e in range(g.m) if class_of[e] == cls]
         sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
-        match = maximal_matching(sub, seed=subseed(seed, 0x6D6D, cls),
-                                 max_rounds=max_rounds)
+        match = maximal_matching(sub, seed=subseed(seed, 0x6D6D, cls))
         matching_reports.append(match.report)
         for se in match.edges:
             u, v = sub.edges[se]
@@ -355,5 +348,4 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3, seed: int = 0,
         "round_accounting": "substitute-subroutine",
     }
     return DominatingColoredSet(
-        dominating=frozenset(dominating), class_of=class_of, class_count=s,
-        domains=dom, report=report, params=params)
+        dominating=frozenset(dominating), class_of=class_of, domains=dom, report=report, params=params)

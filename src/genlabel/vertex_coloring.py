@@ -21,15 +21,15 @@ from .rng import draw_rows
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 
-def _degree_bound(g: Graph, delta_bound: int | None) -> int:
+def _degree_bound(g: Graph, delta: int | None) -> int:
     """The given degree bound, or the max degree if none; at least 1.  A given
     bound above MAX_DELTA is refused before anything is sized by it."""
-    if delta_bound is not None and delta_bound > MAX_DELTA:
-        raise ValueError(f"delta must be at most {MAX_DELTA}, got {delta_bound}")
-    delta = g.max_degree if delta_bound is None else delta_bound
-    if delta < g.max_degree:
-        raise ValueError(f"delta_bound {delta} below realized max degree {g.max_degree}")
-    return max(delta, 1)
+    if delta is not None and delta > MAX_DELTA:
+        raise ValueError(f"delta must be at most {MAX_DELTA}, got {delta}")
+    bound = g.max_degree if delta is None else delta
+    if bound < g.max_degree:
+        raise ValueError(f"delta {bound} below realized max degree {g.max_degree}")
+    return max(bound, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +95,7 @@ class _ColeVishkinProgram(NodeProgram):
 
 
 def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
-                           master_seed: int = 0) -> ColoringResult:
+                           seed: int = 0) -> ColoringResult:
     """Proper 3-coloring of an oriented forest in about log*(n) rounds.
 
     The orientation must have out-degree at most 1 everywhere (each vertex
@@ -107,7 +107,7 @@ def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
         bad = next(v for v in range(g.n) if orientation.out_degree(v) > 1)
         raise ValueError(f"not an oriented forest: vertex {bad} has out-degree > 1")
     program = _ColeVishkinProgram(orientation.children(), g.n)
-    report = run_sync(program, g, master_seed, max_rounds=_reduction_rounds(g.n) + 8)
+    report = run_sync(program, g, seed, max_rounds=_reduction_rounds(g.n) + 8)
     rounds_bound = log_star(max(g.n, 2))
     params = {
         "reduction_rounds": program.rounds_reduce,
@@ -178,7 +178,7 @@ def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
 
 
 def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
-                            delta_bound: int | None = None) -> DomainsResult:
+                            delta: int | None = None) -> DomainsResult:
     """One-round generic coloring: k = ceil(c*log2 n) tagged draws per vertex
     from a value range of twice the degree bound, followed by symmetric
     removal of any exact collision with a neighbor.
@@ -187,7 +187,7 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
     half of each set survives.  A vertex whose set empties marks the run
     failed (retry with a new seed).  Palette 2*delta*k.
     """
-    delta = _degree_bound(g, delta_bound)
+    delta = _degree_bound(g, delta)
     k = draw_count(c, g.n)
     value_range = 2 * delta
     dom, report, failed = draw_and_prune(g, seed, k, value_range, g.adjacency, frozenset())
@@ -286,11 +286,18 @@ def _plan_pipeline(n: int, delta: int, base_prime: int) -> tuple[list[tuple[int,
     return steps, q_final
 
 
-def _run_pipeline(g: Graph, delta: int, steps: list[tuple[int, int]],
-                  final_prime: int, rho: int, master_seed: int) -> DomainsResult:
+def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
+    """Plan and run the pipeline from the base prime q >= 3*delta/(rho+1).
+    Its primes and point sets grow with delta, so a realized max degree above
+    MAX_DELTA is refused before any prime is picked."""
+    if delta > MAX_DELTA:
+        raise ValueError(f"max degree must be at most {MAX_DELTA} for the "
+                         f"cover-free pipeline, got {delta}")
+    base_prime = smallest_prime_geq(max(-(-3 * delta // (rho + 1)), 2))
+    steps, final_prime = _plan_pipeline(g.n, delta, base_prime)
     final = PolyFamily(q=final_prime, d=2)
     program = _PipelineProgram(steps, final, rho)
-    report = run_sync(program, g, master_seed, max_rounds=len(steps) + 2)
+    report = run_sync(program, g, seed, max_rounds=len(steps) + 2)
     domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
     dom = LabelDomain(kind="vertex", domains=domains, palette=final_prime**2,
                       stride=final_prime)
@@ -305,52 +312,26 @@ def _run_pipeline(g: Graph, delta: int, steps: list[tuple[int, int]],
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)
 
 
-def linial_reduce_round(g: Graph, colors, fam: PolyFamily) -> list[int]:
-    """One reduction round: exchange colors, then every vertex moves to the
-    smallest element of its set not covered by any neighbor's set.
-
-    Requires a family with at least as many sets as input colors and
-    cover-freeness degree at least the graph's maximum degree; an improper
-    input coloring may surface as a vertex with no uncovered element.
-    """
-    colors = list(colors)
-    n_colors = max(colors, default=0) + 1
-    if fam.family_size < n_colors:
-        raise ValueError(
-            f"family has {fam.family_size} sets, fewer than {n_colors} colors")
-    if fam.cover_free_degree < g.max_degree:
-        raise ValueError(
-            f"family tolerates {fam.cover_free_degree} covering sets, "
-            f"graph degree is {g.max_degree}")
-    return [_reduce_color(fam, v, colors[v], [colors[u] for u in g.adjacency[v]])
-            for v in range(g.n)]
-
-
-def generic_delta2_coloring(g: Graph, delta_bound: int | None = None,
-                            master_seed: int = 0) -> DomainsResult:
+def generic_delta2_coloring(g: Graph, delta: int | None = None,
+                            seed: int = 0) -> DomainsResult:
     """Deterministic generic coloring with palette q^2, q the smallest prime
     >= 3*delta: iterated cover-free reductions from the id-coloring, then one
     residual round that keeps every uncovered element (at least delta of them).
     """
-    delta = _degree_bound(g, delta_bound)
-    base = smallest_prime_geq(max(3 * delta, 2))
-    steps, q_final = _plan_pipeline(g.n, delta, base)
-    return _run_pipeline(g, delta, steps, q_final, rho=0, master_seed=master_seed)
+    return _run_pipeline(g, _degree_bound(g, delta), rho=0, seed=seed)
 
 
-def generic_defective_coloring(g: Graph, p: int, delta_bound: int | None = None,
-                               master_seed: int = 0) -> DomainsResult:
+def generic_defective_coloring(g: Graph, p: int, delta: int | None = None,
+                               seed: int = 0) -> DomainsResult:
     """Generic p-defective coloring: proper reductions while the palette is
     large, then a single residual round keeping elements covered at most p
     times.  Any joint selection has defect at most p because at most p
     neighbor sets can contain any kept element.
     """
-    delta = _degree_bound(g, delta_bound)
+    delta = _degree_bound(g, delta)
     if not 1 <= p <= delta:
         raise ValueError(f"p must be in [1, {delta}], got {p}")
-    q_base = smallest_prime_geq(max(math.ceil(3 * delta / (p + 1)), 2))
-    steps, q_final = _plan_pipeline(g.n, delta, q_base)
-    result = _run_pipeline(g, delta, steps, q_final, rho=p, master_seed=master_seed)
+    result = _run_pipeline(g, delta, rho=p, seed=seed)
     result.params["p"] = p
     result.params["domain_floor"] = max(1, delta // (4 * (p + 1)))
     return result

@@ -88,7 +88,7 @@ def test_criterion_01_one_round_random_coloring():
     assert k == 40
     retention_ok = disjoint_ok = 0
     for seed, g in conforming_gnp(1024, 4.5 / 1023, 20, 100):
-        res = generic_random_coloring(g, c=4.0, seed=1000 + seed, delta_bound=20)
+        res = generic_random_coloring(g, c=4.0, seed=1000 + seed, delta=20)
         assert res.report.comm_rounds == 1
         assert res.params["k"] == k
         if not res.failed and res.domains.min_size >= k // 2:
@@ -169,8 +169,7 @@ def test_criterion_04_defective_coloring():
     families = conforming_gnp(1024, 5 / 1023, 16, 20)
     for p in (1, 2, 4):
         for seed, g in families:
-            res = generic_defective_coloring(g, p=p, delta_bound=16,
-                                             master_seed=seed)
+            res = generic_defective_coloring(g, p=p, delta=16, seed=seed)
             verdict, worst = check_defective_domains(g, res.domains, p)
             assert verdict.ok, f"defect {worst} > {p} at seed {seed}"
             assert res.report.comm_rounds <= log_star(g.n) + ROUND_CONSTANT
@@ -414,7 +413,7 @@ def test_criterion_11_dominating_edge_coloring():
         res = dominating_edge_coloring(g, c=3, t=3, seed=seed)
         assert not res.report.incomplete
         assert check_edge_dominating(g, res.dominating).ok
-        for cls in range(1, res.class_count + 1):
+        for cls in range(1, res.params["classes"] + 1):
             covered: set[int] = set()
             for e in res.dominating:
                 if res.class_of[e] == cls:

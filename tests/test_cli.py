@@ -21,6 +21,7 @@ from genlabel.cli import (
     parse_params,
 )
 from genlabel.cli import ConfigError
+from genlabel.labels import MAX_DELTA
 
 
 def run_cli(args, tmp_path=None):
@@ -236,6 +237,79 @@ class TestHugeParams:
         for row, (_, _, value, message) in zip(rows, HUGE_PARAMS):
             assert "error" in row and f"{message}, got {value}" in row
         assert "Traceback" not in proc.stderr
+
+
+class TestHugeDegree:
+    """A star whose own max degree is above MAX_DELTA, with no delta given:
+    the cover-free pipeline refuses it before sizing a prime by it, and the
+    one-round coloring, which sizes nothing by it, still runs."""
+
+    @pytest.fixture(scope="class")
+    def star(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("star") / "star.edges"
+        path.write_text("".join(f"0 {v}\n" for v in range(1, MAX_DELTA + 2)))
+        return path
+
+    @pytest.mark.parametrize("tag", ["delta2-coloring", "defective-coloring"])
+    def test_pipeline_config_error(self, star, tag):
+        proc = limited_cli(["run", "--algo", tag, "--graph", str(star),
+                            *[f"--param={k}={v}" for k, v in REQUIRED.get(tag, {}).items()]])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (f"error: max degree must be at most {MAX_DELTA} for the "
+                               f"cover-free pipeline, got {MAX_DELTA + 1}\n")
+
+    def test_random_coloring_runs(self, star, tmp_path):
+        proc = limited_cli(["run", "--algo", "random-coloring", "--graph", str(star),
+                            "--format", "csv", "--out", str(tmp_path / "r.csv")])
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+
+# A valid value for every optional --param on a small graph, the report field
+# that records it and the value recorded there.  forest-hpartition records
+# eps only through forest_count = floor((2 + eps) * a), with a = 2.
+OPTIONAL_PARAMS = [
+    ("cv3-expansion", "delta", "9", "params.delta", 9),
+    ("random-coloring", "c", "3.5", "params.c", 3.5),
+    ("random-coloring", "delta", "9", "params.delta", 9),
+    ("delta2-coloring", "delta", "9", "params.delta", 9),
+    ("defective-coloring", "delta", "9", "params.delta", 9),
+    ("arboricity-coloring", "eps", "0.5", "params.eps", 0.5),
+    ("arboricity-coloring", "c", "3.5", "params.c", 3.5),
+    ("network-decomposition", "c", "3", "params.c", 3),
+    ("network-decomposition", "B", "4", "params.radius_cap", 4),
+    ("network-decomposition", "label_budget", "500", "metrics.label_budget", 500),
+    ("forest-hpartition", "eps", "0.5", "params.forest_count", 5),
+    ("edge-random", "c", "3.5", "params.c", 3.5),
+    ("dominating-edge", "c", "4", "params.c", 4),
+    ("dominating-edge", "t", "2", "params.t", 2),
+]
+SMALL_GEN = {"cv3-expansion": "random-tree:n=32",
+             "arboricity-coloring": "forest-union:n=32,a=2",
+             "forest-hpartition": "forest-union:n=32,a=2"}
+SMALL_REQUIRED = {**REQUIRED, "arboricity-coloring": {"a": 2}, "forest-hpartition": {"a": 2}}
+
+
+class TestOptionalParams:
+    def test_table_covers_every_optional_key(self):
+        optional = {(tag, key) for tag, entry in ALGORITHMS.items()
+                    for key, (_, required) in entry.schema.items() if not required}
+        assert {(tag, key) for tag, key, *_ in OPTIONAL_PARAMS} == optional
+
+    @pytest.mark.parametrize("tag,key,value,field,recorded", OPTIONAL_PARAMS)
+    def test_value_reaches_report(self, tag, key, value, field, recorded, tmp_path):
+        out = tmp_path / "r.json"
+        params = {**SMALL_REQUIRED.get(tag, {}), key: value}
+        argv = ["run", "--algo", tag, "--gen", SMALL_GEN.get(tag, "gnp:n=32,p=0.1"),
+                "--out", str(out), *[f"--param={k}={v}" for k, v in params.items()]]
+        assert main(argv) == EXIT_OK
+        section, name = field.split(".")
+        assert json.loads(out.read_text())[section][name] == recorded
+
+    def test_dominating_edge_max_rounds_is_unknown(self, capsys):
+        code = main(["run", "--algo", "dominating-edge", "--gen", "gnp:n=32,p=0.1",
+                     "--param", "max_rounds=5"])
+        assert code == EXIT_CONFIG
+        assert "unknown parameter 'max_rounds'" in capsys.readouterr().err
 
 
 class TestBench:

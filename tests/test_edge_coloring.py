@@ -76,9 +76,9 @@ class TestKuhn:
 
         for v in range(g.n):
             counts = Counter(num for _, num in res.numbering[v])
-            assert all(1 <= num <= res.numbers for num in counts)
-            assert max(counts.values()) <= res.multiplicity
-        assert res.numbers == 4
+            assert all(1 <= num <= res.params["numbers"] for num in counts)
+            assert max(counts.values()) <= res.params["i"]
+        assert res.params["numbers"] == 4
         assert res.palette_size == len(pair_palette(4))
 
     def test_numbering_matches_pairs(self):
@@ -194,7 +194,7 @@ class TestDominating:
             res = dominating_edge_coloring(g, c=3, t=3, seed=seed)
             assert not res.report.incomplete
             assert check_edge_dominating(g, res.dominating).ok
-            for cls in range(1, res.class_count + 1):
+            for cls in range(1, res.params["classes"] + 1):
                 members = [e for e in res.dominating if res.class_of[e] == cls]
                 edges = [g.edges[e] for e in members]
                 sub = Graph.from_edges(g.n, edges)

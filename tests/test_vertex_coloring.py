@@ -3,7 +3,6 @@ import pytest
 from genlabel import (
     GeneratorSpec,
     Graph,
-    PolyFamily,
     Stream,
     cole_vishkin_3coloring,
     expand_to_generic,
@@ -11,7 +10,6 @@ from genlabel import (
     generic_defective_coloring,
     generic_delta2_coloring,
     generic_random_coloring,
-    linial_reduce_round,
     log_star,
     orient_by_id,
     orient_forest,
@@ -104,7 +102,7 @@ class TestRandomColoring:
         """Find a seed where the two endpoints of an edge drew the same tagged
         value; neither surviving domain may contain it."""
         g = Graph.from_edges(2, [(0, 1)])
-        k, rng_range = 4, 4  # delta_bound=2 -> range 4: collisions are common
+        k, rng_range = 4, 4  # delta=2 -> range 4: collisions are common
         found = False
         for seed in range(200):
             d0 = Stream(seed, 0).draw_many(k, rng_range)
@@ -113,7 +111,7 @@ class TestRandomColoring:
             if not shared:
                 continue
             found = True
-            res = generic_random_coloring(g, c=4.0, seed=seed, delta_bound=2)
+            res = generic_random_coloring(g, c=4.0, seed=seed, delta=2)
             assert res.params["k"] == k
             for v in (0, 1):
                 assert not (res.domains.domains[v] & shared)
@@ -133,7 +131,7 @@ class TestRandomColoring:
         g = generate(GeneratorSpec("clique", 17))
         total = runs = k = 0
         for seed in range(30):
-            res = generic_random_coloring(g, c=4.0, seed=seed, delta_bound=16)
+            res = generic_random_coloring(g, c=4.0, seed=seed, delta=16)
             k = res.params["k"]
             sizes = res.domains.sizes()
             total += sum(sizes)
@@ -147,34 +145,7 @@ class TestRandomColoring:
 
     def test_rejects_low_delta_bound(self, k4):
         with pytest.raises(ValueError):
-            generic_random_coloring(k4, delta_bound=1)
-
-
-class TestLinialReduce:
-    def test_one_round_reduction_to_49_colors(self):
-        g = generate(GeneratorSpec("path", 343))
-        fam = PolyFamily(q=7, d=2)
-        colors = linial_reduce_round(g, list(range(343)), fam)
-        assert max(colors) < 49
-        assert check_proper_vertex(g, colors).ok
-
-    def test_single_color_edgeless(self):
-        g = Graph.from_edges(4, [])
-        fam = PolyFamily(q=3, d=1)
-        colors = linial_reduce_round(g, [0, 0, 0, 0], fam)
-        assert len(set(colors)) == 1
-
-    def test_improper_input_surfaces(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        fam = PolyFamily(q=5, d=1)
-        with pytest.raises(ValueError, match="improper|family"):
-            # equal colors on adjacent vertices: identical sets cover entirely
-            linial_reduce_round(g, [3, 3], fam)
-
-    def test_precondition_family_too_small(self):
-        g = generate(GeneratorSpec("path", 30))
-        with pytest.raises(ValueError, match="fewer"):
-            linial_reduce_round(g, list(range(30)), PolyFamily(q=5, d=1))
+            generic_random_coloring(k4, delta=1)
 
 
 class TestDelta2:
