@@ -33,7 +33,7 @@ print("adjacent edge domains disjoint:",
 i = 2
 kuhn = kuhn_defective_edge_coloring(graph, i=i, seed=2)
 verdict, worst = check_edge_defect(graph, kuhn.colors, kuhn.defect_bound)
-print(f"\ndefective edge coloring (i={i}): {kuhn.palette_size} colors in "
+print(f"\ndefective edge coloring (i={i}): {kuhn.params['palette_size']} colors in "
       f"{kuhn.report.comm_rounds} round; defect {worst} <= {kuhn.defect_bound}: "
       f"{verdict.ok}")
 
@@ -45,6 +45,6 @@ print(f"\ndominating set: {len(dom.dominating)} of {graph.m} edges, "
       f"{dom.params['classes']} classes, dominating: "
       f"{check_edge_dominating(graph, dom.dominating).ok}")
 m = metrics(dom.domains)
-print(f"palette {m.problem_domain_size}, solution domain {m.solution_domain_min}, "
-      f"contingency factor {m.contingency_factor} "
+print(f"palette {m['problem_domain_size']}, solution domain {m['solution_domain_min']}, "
+      f"contingency factor {m['contingency_factor']} "
       f"(= ceil(sqrt(max_degree)) = {math.isqrt(graph.max_degree - 1) + 1})")

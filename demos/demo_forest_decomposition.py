@@ -16,8 +16,8 @@ verdict = check_forest_labeling(graph, labeling.edge_labels, labeling.assigner,
                                 labeling.forest_count)
 print("all label classes acyclic, per-vertex labels distinct:", verdict.ok)
 m = metrics(domain)
-print(f"per-edge view: palette {m.problem_domain_size}, solution domain "
-      f"{m.solution_domain_min}, contingency factor {m.contingency_factor}")
+print(f"per-edge view: palette {m['problem_domain_size']}, solution domain "
+      f"{m['solution_domain_min']}, contingency factor {m['contingency_factor']}")
 
 # With a known arboricity bound the peeling partition drops the forest count
 # from max_degree to floor((2+eps)*a), independent of the degrees.

@@ -31,7 +31,7 @@ print("adjacent domains disjoint:", verdict.ok)
 
 # A neighbor can only guess the final color with probability 1/|domain|.
 m = metrics(result.domains, rounds=report.comm_rounds)
-print(f"palette {m.problem_domain_size}, solution domain >= {m.solution_domain_min}, "
-      f"contingency factor {m.contingency_factor} "
-      f"(~{float(m.contingency_factor):.1f}, order max_degree)")
-print(f"worst-case guessing probability: 1/{m.solution_domain_min}")
+print(f"palette {m['problem_domain_size']}, solution domain >= {m['solution_domain_min']}, "
+      f"contingency factor {m['contingency_factor']} "
+      f"(~{m['contingency_factor_float']:.1f}, order max_degree)")
+print(f"worst-case guessing probability: 1/{m['solution_domain_min']}")

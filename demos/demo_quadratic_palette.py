@@ -22,7 +22,7 @@ print(f"domain sizes: min={min(sizes)} max={max(sizes)} "
 print("adjacent domains disjoint:", check_domains_disjoint(graph, result.domains).ok)
 
 m = metrics(result.domains)
-print(f"contingency factor {m.contingency_factor} (order max_degree)")
+print(f"contingency factor {m['contingency_factor']} (order max_degree)")
 
 # The same call on a bushier graph needs no reductions at all: the id palette
 # already fits under the final prime's cube.

@@ -123,15 +123,17 @@ def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None 
            "failed": list(failed), **fields}
     if labels is not None:
         doc["labels"] = labels.to_document()
-        rep = verify.metrics(labels, rounds=report.comm_rounds, verdicts=tuple(verdicts))
-        metrics = {**rep.to_document(), **(metrics or {})}
+        metrics = {**verify.metrics(labels, rounds=report.comm_rounds, verdicts=verdicts),
+                   **(metrics or {})}
     doc["metrics"] = metrics
     return doc
 
 
-def _random_coloring(g: Graph, seed: int, params: dict):
-    res = generic_random_coloring(g, seed=seed, **params)
-    verdicts = [verify.check_domains_disjoint(g, res.domains)]
+def _disjoint(g: Graph, seed: int, params: dict, entry: str, check: str, **fixed):
+    """Run the entry point named ``entry`` and the one disjointness checker
+    named ``check`` on its domains; both names are looked up at call time."""
+    res = globals()[entry](g, seed=seed, **params, **fixed)
+    verdicts = [getattr(verify, check)(g, res.domains)]
     return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
 
 
@@ -192,23 +194,11 @@ def _forest(g: Graph, seed: int, params: dict, mode: str):
                  edges=edges), verdicts
 
 
-def _arboricity_coloring(g: Graph, seed: int, params: dict):
-    res = arboricity_generic_coloring(g, seed=seed, **params)
-    verdicts = [verify.check_domains_disjoint(g, res.domains)]
-    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
-
-
-def _line_graph_coloring(g: Graph, seed: int, params: dict, variant: str):
-    res = edge_coloring_via_line_graph(g, variant=variant, seed=seed, **params)
-    verdicts = [verify.check_edge_domains_disjoint(g, res.domains)]
-    return _body(res.params, res.report, verdicts, res.domains, res.failed), verdicts
-
-
 def _kuhn_edge(g: Graph, seed: int, params: dict):
     res = kuhn_defective_edge_coloring(g, seed=seed, **params)
     verdict, worst = verify.check_edge_defect(g, res.colors, res.defect_bound)
     metrics = {
-        "problem_domain_size": res.palette_size,
+        "problem_domain_size": res.params["palette_size"],
         "defect_bound": res.defect_bound,
         "measured_defect": worst,
         "rounds": res.report.comm_rounds,
@@ -258,7 +248,8 @@ ALGORITHMS: dict[str, Algorithm] = {
         {"delta": (int, False)}, _cv3_expansion,
         "3-coloring expansion (oriented trees)", "random-tree:n=512,max_deg=8"),
     "random-coloring": Algorithm(
-        {"c": (float, False), "delta": (int, False)}, _random_coloring,
+        {"c": (float, False), "delta": (int, False)},
+        partial(_disjoint, entry="generic_random_coloring", check="check_domains_disjoint"),
         "one-round random coloring", "gnp:n=256,p=0.02"),
     "delta2-coloring": Algorithm(
         {"delta": (int, False)}, _delta2_coloring,
@@ -268,7 +259,8 @@ ALGORITHMS: dict[str, Algorithm] = {
         "defective coloring", "gnp:n=256,p=0.04", {"p": 2}),
     "arboricity-coloring": Algorithm(
         {"a": (int, True), "eps": (float, False), "c": (float, False)},
-        _arboricity_coloring,
+        partial(_disjoint, entry="arboricity_generic_coloring",
+                check="check_domains_disjoint"),
         "bounded-arboricity coloring", "forest-union:n=256,a=2", {"a": 2}),
     "network-decomposition": Algorithm(
         {"c": (int, False), "B": (int, False), "label_budget": (int, False)},
@@ -281,10 +273,14 @@ ALGORITHMS: dict[str, Algorithm] = {
         {"a": (int, True), "eps": (float, False)}, partial(_forest, mode="h-partition"),
         "forest decomposition (peeling)", "forest-union:n=256,a=2", {"a": 2}),
     "edge-random": Algorithm(
-        {"c": (float, False)}, partial(_line_graph_coloring, variant="random"),
+        {"c": (float, False)},
+        partial(_disjoint, entry="edge_coloring_via_line_graph",
+                check="check_edge_domains_disjoint", variant="random"),
         "edge coloring (random, line graph)", "gnp:n=128,p=0.04"),
     "edge-delta2": Algorithm(
-        {}, partial(_line_graph_coloring, variant="delta2"),
+        {},
+        partial(_disjoint, entry="edge_coloring_via_line_graph",
+                check="check_edge_domains_disjoint", variant="delta2"),
         "edge coloring (quadratic, line graph)", "gnp:n=128,p=0.04"),
     "kuhn-edge": Algorithm(
         {"i": (int, True)}, _kuhn_edge,
@@ -297,19 +293,14 @@ ALGORITHMS: dict[str, Algorithm] = {
 
 
 def _graph_from_args(args, seed: int) -> tuple[Graph, dict]:
-    if getattr(args, "graph", None):
-        text = Path(args.graph).read_text()
-        g = load_edge_list(text)
-        source = {"kind": "file", "path": args.graph}
-    elif getattr(args, "gen", None):
-        spec = parse_gen_spec(args.gen)
-        if "seed=" not in args.gen:
-            spec = replace(spec, seed=seed)
-        g = generate(spec)
-        source = {"kind": "generator", "spec": args.gen, "seed": spec.seed}
-    else:
-        raise ConfigError("one of --graph or --gen is required")
-    return g, source
+    # argparse requires exactly one of --graph and --gen; --graph= is the path ""
+    if args.graph is not None:
+        g = load_edge_list(Path(args.graph).read_text())
+        return g, {"kind": "file", "path": args.graph}
+    spec = parse_gen_spec(args.gen)
+    if "seed=" not in args.gen:
+        spec = replace(spec, seed=seed)
+    return generate(spec), {"kind": "generator", "spec": args.gen, "seed": spec.seed}
 
 
 def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> dict:

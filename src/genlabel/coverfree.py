@@ -80,11 +80,6 @@ class PolyFamily:
     def family_size(self) -> int:
         return self.q ** (self.d + 1)
 
-    @property
-    def cover_free_degree(self) -> int:
-        """Largest Delta such that no set is covered by Delta others."""
-        return -(-self.q // self.d) - 1
-
     def coefficients(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.family_size:
             raise ValueError(f"set index {index} out of range [0,{self.family_size})")

@@ -365,9 +365,10 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
 
     id mode: orient toward higher ids and number out-edges in two rounds,
     with forest_count = max degree.  h-partition mode: orient via the peeling
-    partition, with forest_count = floor((2+eps)*a).  Either way each vertex
-    draws its numbering uniformly at random among injective assignments, so
-    every distinct assignment (and every per-edge label) stays valid.
+    partition, with forest_count = floor((2+eps)*a) and a <= MAX_FACTOR.
+    Either way each vertex draws its numbering uniformly at random among
+    injective assignments, so every distinct assignment (and every per-edge
+    label) stays valid.
     """
     if mode == "id":
         forest_count = g.max_degree
@@ -385,6 +386,8 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
     if mode == "h-partition":
         if a is None:
             raise ValueError("h-partition mode requires the arboricity bound a")
+        if a > MAX_FACTOR:  # each vertex shuffles all floor((2+eps)*a) labels
+            raise ValueError(f"a must be at most {MAX_FACTOR}, got {a}")
         hp = h_partition(g, a, eps)
         forest_count = math.floor((2 + eps) * a)
         orientation = hp.orientation

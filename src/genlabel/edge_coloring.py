@@ -57,9 +57,16 @@ def pair_palette(numbers: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(1, numbers + 1) for b in range(a, numbers + 1)]
 
 
+def pair_index(a: int, b: int, numbers: int) -> int:
+    """The index of (a, b), a <= b, in ``pair_palette(numbers)``, computed
+    without building the palette."""
+    return (a - 1) * (2 * numbers + 2 - a) // 2 + b - a
+
+
 @dataclass(frozen=True)
 class KuhnEdgeColoring:
-    """Final edge colors as canonical indices into the unordered-pair palette.
+    """``colors[e]`` is edge e's index in ``pair_palette(params["numbers"])``,
+    a palette of ``params["palette_size"]`` colors.
 
     ``numbering[v]`` is vertex v's assignment table: (neighbor, number) per
     incident edge, each of the ``params["numbers"]`` numbers used on at most
@@ -68,15 +75,10 @@ class KuhnEdgeColoring:
 
     colors: tuple[int, ...]
     pairs: tuple[tuple[int, int], ...]
-    palette: tuple[tuple[int, int], ...]
     numbering: tuple[tuple[tuple[int, int], ...], ...]
     defect_bound: int
     report: RunReport
     params: dict = field(default_factory=dict)
-
-    @property
-    def palette_size(self) -> int:
-        return len(self.palette)
 
 
 class _KuhnProgram(NodeProgram):
@@ -120,8 +122,6 @@ def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeCol
     numbers = -(-delta // i) if delta else 1
     program = _KuhnProgram(i)
     report = run_sync(program, g, seed, max_rounds=3)
-    palette = pair_palette(numbers)
-    index = {pair: k for k, pair in enumerate(palette)}
     assigned: dict[tuple[int, int], int] = {}
     for v in range(g.n):
         for u, num in report.outputs[v][0]:
@@ -130,24 +130,18 @@ def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeCol
     colors = []
     for u, v in g.edges:
         a, b = assigned[(u, v)], assigned[(v, u)]
-        pair = (a, b) if a <= b else (b, a)
-        pairs.append(pair)
-        colors.append(index[pair])
-    params = {"i": i, "numbers": numbers, "palette_size": len(palette)}
+        if a > b:
+            a, b = b, a
+        pairs.append((a, b))
+        colors.append(pair_index(a, b, numbers))
+    params = {"i": i, "numbers": numbers, "palette_size": numbers * (numbers + 1) // 2}
     return KuhnEdgeColoring(colors=tuple(colors), pairs=tuple(pairs),
-                            palette=tuple(palette),
                             numbering=tuple(out[0] for out in report.outputs),
                             defect_bound=4 * i - 2, report=report, params=params)
 
 
 # ---------------------------------------------------------------------------
 # substitute subroutines: proper edge coloring and maximal matching
-
-
-@dataclass(frozen=True)
-class EdgeColoring:
-    colors: tuple[int | None, ...]
-    report: RunReport
 
 
 class _ProposalColoringProgram(NodeProgram):
@@ -188,8 +182,9 @@ class _ProposalColoringProgram(NodeProgram):
 
 
 def simple_edge_coloring(g: Graph, palette_size: int | None = None,
-                         seed: int = 0) -> EdgeColoring:
-    """Proper edge coloring by repeated random proposals on the line graph.
+                         seed: int = 0) -> RunReport:
+    """Proper edge coloring by repeated random proposals on the line graph;
+    the report's ``outputs[e]`` is edge e's color.
 
     Needs a palette of at least 2*max_degree - 1 (so a free color always
     exists); with 3*max_degree or more it terminates in logarithmically many
@@ -199,9 +194,8 @@ def simple_edge_coloring(g: Graph, palette_size: int | None = None,
     palette = 3 * delta if palette_size is None else palette_size
     if palette < 2 * delta - 1:
         raise ValueError(f"palette {palette} below 2*max_degree-1 = {2 * delta - 1}")
-    report = run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
-                      max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
-    return EdgeColoring(colors=report.outputs, report=report)
+    return run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
+                    max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
 
 
 @dataclass(frozen=True)
@@ -320,7 +314,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
                                     seed=subseed(seed, 0x6563))
     class_of = tuple(
         edge_class_of_color(col, width) if col is not None else 0
-        for col in coloring.colors)
+        for col in coloring.outputs)
     dominating: set[int] = set()
     matching_reports = []
     for cls in range(1, s + 1):
@@ -338,7 +332,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     dom = LabelDomain(kind="edge", domains=domains, palette=t * s, stride=t)
     # the class matchings run side by side, after the coloring
     report = RunReport.sequential(
-        [coloring.report, RunReport.parallel(matching_reports, seed)], seed)
+        [coloring, RunReport.parallel(matching_reports, seed)], seed)
     params = {
         "c": c,
         "t": t,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 
 MAX_DRAW_COUNT = 1024
-MAX_FACTOR = 1024  # largest network-decomposition c, dominating-edge c and t
+MAX_FACTOR = 1024  # largest network-decomposition c, dominating-edge c and t, peeling a
 MAX_DELTA = 65536  # largest delta parameter; palettes and point sets grow with it
 
 

@@ -11,7 +11,7 @@ the minimum per-entity domain size; the contingency factor is their ratio
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median_low
 
@@ -362,43 +362,20 @@ def check_matching(g: Graph, matching) -> Verdict:
     return _ok(name)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    problem_domain_size: int
-    solution_domain_min: int
-    solution_domain_median: int
-    solution_domain_max: int
-    contingency_factor: Fraction
-    rounds: int | None = None
-    verdicts: tuple[Verdict, ...] = field(default=())
-
-    def to_document(self) -> dict:
-        cf = self.contingency_factor
-        return {
-            "problem_domain_size": self.problem_domain_size,
-            "solution_domain_min": self.solution_domain_min,
-            "solution_domain_median": self.solution_domain_median,
-            "solution_domain_max": self.solution_domain_max,
-            "contingency_factor": f"{cf.numerator}/{cf.denominator}",
-            "contingency_factor_float": float(cf),
-            "rounds": self.rounds,
-            "verdicts": [v.to_document() for v in self.verdicts],
-        }
-
-
-def metrics(dom: LabelDomain, rounds: int | None = None,
-            verdicts: tuple[Verdict, ...] = ()) -> MetricsReport:
+def metrics(dom: LabelDomain, rounds: int | None = None, verdicts=()) -> dict:
+    """The metrics document of ``dom``: the problem domain (its palette), the
+    solution domain sizes, and their ratio, the contingency factor, as "p/q"
+    and as a float (0 when the smallest is empty or there is no entity)."""
     sizes = dom.sizes()
-    if not sizes:
-        return MetricsReport(dom.palette, 0, 0, 0, Fraction(0), rounds, tuple(verdicts))
-    smallest = min(sizes)
+    smallest = min(sizes, default=0)
     cf = Fraction(dom.palette, smallest) if smallest else Fraction(0)
-    return MetricsReport(
-        problem_domain_size=dom.palette,
-        solution_domain_min=smallest,
-        solution_domain_median=int(median_low(sizes)),
-        solution_domain_max=max(sizes),
-        contingency_factor=cf,
-        rounds=rounds,
-        verdicts=tuple(verdicts),
-    )
+    return {
+        "problem_domain_size": dom.palette,
+        "solution_domain_min": smallest,
+        "solution_domain_median": int(median_low(sizes)) if sizes else 0,
+        "solution_domain_max": max(sizes, default=0),
+        "contingency_factor": f"{cf.numerator}/{cf.denominator}",
+        "contingency_factor_float": float(cf),
+        "rounds": rounds,
+        "verdicts": [v.to_document() for v in verdicts],
+    }

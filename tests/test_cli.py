@@ -163,6 +163,13 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("source", ["--graph=", "--gen="])
+    def test_empty_source_config_error(self, source, capsys):
+        assert main(["run", "--algo", "forest-id", source]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_all_algorithms_reachable(self, tmp_path):
         """Every registered tag executes end to end from the CLI, on a small
         graph and on the empty graph."""
@@ -198,6 +205,7 @@ HUGE_PARAMS = [
     ("delta2-coloring", "delta", 1_000_000_000, "delta must be at most 65536"),
     ("defective-coloring", "delta", 1_000_000_000, "delta must be at most 65536"),
     ("cv3-expansion", "delta", 1_000_000_000, "delta must be at most 65536"),
+    ("forest-hpartition", "a", 1_000_000_000, "a must be at most 1024"),
 ]
 REQUIRED = {"defective-coloring": {"p": 1}}  # params a tag needs besides the huge one
 
@@ -242,7 +250,7 @@ class TestHugeParams:
 class TestHugeDegree:
     """A star whose own max degree is above MAX_DELTA, with no delta given:
     the cover-free pipeline refuses it before sizing a prime by it, and the
-    one-round coloring, which sizes nothing by it, still runs."""
+    one-round colorings, which size nothing by it, still run."""
 
     @pytest.fixture(scope="class")
     def star(self, tmp_path_factory):
@@ -258,8 +266,11 @@ class TestHugeDegree:
         assert proc.stderr == (f"error: max degree must be at most {MAX_DELTA} for the "
                                f"cover-free pipeline, got {MAX_DELTA + 1}\n")
 
-    def test_random_coloring_runs(self, star, tmp_path):
-        proc = limited_cli(["run", "--algo", "random-coloring", "--graph", str(star),
+    @pytest.mark.parametrize("tag,params", [("random-coloring", []),
+                                            ("kuhn-edge", ["--param=i=1"])],
+                             ids=["random-coloring", "kuhn-edge"])
+    def test_one_round_runs(self, star, tag, params, tmp_path):
+        proc = limited_cli(["run", "--algo", tag, "--graph", str(star), *params,
                             "--format", "csv", "--out", str(tmp_path / "r.csv")])
         assert proc.returncode == EXIT_OK, proc.stderr
 

@@ -184,10 +184,6 @@ class TestVerifyCoverFree:
         with pytest.raises(ExhaustiveBudgetError):
             verify_cover_free(fam, delta=4, mode="exhaustive", budget=1000)
 
-    def test_cover_free_degree_formula(self):
-        assert PolyFamily(q=7, d=2).cover_free_degree == 3  # ceil(7/2)-1
-        assert PolyFamily(q=5, d=1).cover_free_degree == 4
-
 
 class TestFamilyMemo:
     def test_equality_and_hash_ignore_the_memo(self):

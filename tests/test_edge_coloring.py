@@ -10,6 +10,7 @@ from genlabel.edge_coloring import (
     edge_coloring_via_line_graph,
     kuhn_defective_edge_coloring,
     maximal_matching,
+    pair_index,
     pair_palette,
     simple_edge_coloring,
 )
@@ -53,7 +54,8 @@ class TestKuhn:
     def test_palette_formula_delta4_i2(self):
         g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])  # delta 4
         res = kuhn_defective_edge_coloring(g, i=2, seed=1)
-        assert res.palette == ((1, 1), (1, 2), (2, 2))
+        assert pair_palette(res.params["numbers"]) == [(1, 1), (1, 2), (2, 2)]
+        assert res.params["palette_size"] == 3
         assert res.defect_bound == 6
 
     def test_one_round_and_defect(self):
@@ -67,7 +69,7 @@ class TestKuhn:
     def test_i_equal_delta_single_color(self, k4):
         res = kuhn_defective_edge_coloring(k4, i=3, seed=5)
         assert set(res.pairs) == {(1, 1)}
-        assert res.palette_size == 1
+        assert res.params["palette_size"] == 1
 
     def test_numbering_multiplicity_respected(self):
         g = generate(GeneratorSpec("clique", 9))  # delta 8
@@ -79,7 +81,12 @@ class TestKuhn:
             assert all(1 <= num <= res.params["numbers"] for num in counts)
             assert max(counts.values()) <= res.params["i"]
         assert res.params["numbers"] == 4
-        assert res.palette_size == len(pair_palette(4))
+        assert res.params["palette_size"] == len(pair_palette(4))
+
+    def test_pair_index_is_palette_position(self):
+        for numbers in range(1, 41):
+            palette = pair_palette(numbers)
+            assert [pair_index(a, b, numbers) for a, b in palette] == list(range(len(palette)))
 
     def test_numbering_matches_pairs(self):
         g = generate(GeneratorSpec("gnp", 32, p=0.2, seed=5))
@@ -128,23 +135,23 @@ class TestKuhn:
 class TestSimpleEdgeColoring:
     def test_matching_colored_first_attempt(self):
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        res = simple_edge_coloring(g, seed=1)
-        assert res.report.rounds == 2
-        assert check_edge_properness(g, res.colors).ok
+        report = simple_edge_coloring(g, seed=1)
+        assert report.rounds == 2
+        assert check_edge_properness(g, report.outputs).ok
 
     def test_p4_palette_3(self, path4):
-        res = simple_edge_coloring(path4, palette_size=3, seed=2)
-        assert check_edge_properness(g=path4, edge_labels=res.colors).ok
-        assert not res.report.incomplete
+        report = simple_edge_coloring(path4, palette_size=3, seed=2)
+        assert check_edge_properness(g=path4, edge_labels=report.outputs).ok
+        assert not report.incomplete
 
     def test_k8_hundred_seeds(self):
         g = generate(GeneratorSpec("clique", 8))
         worst = 0
         for seed in range(100):
-            res = simple_edge_coloring(g, palette_size=21, seed=seed)
-            assert not res.report.incomplete
-            assert check_edge_properness(g, res.colors).ok
-            worst = max(worst, res.report.rounds)
+            report = simple_edge_coloring(g, palette_size=21, seed=seed)
+            assert not report.incomplete
+            assert check_edge_properness(g, report.outputs).ok
+            worst = max(worst, report.rounds)
         assert worst <= 50
 
     def test_palette_too_small_rejected(self, k4):
@@ -222,7 +229,7 @@ class TestDominating:
             s += 1
         from genlabel.verify import metrics
 
-        assert metrics(res.domains).contingency_factor == s
+        assert metrics(res.domains)["contingency_factor"] == f"{s}/1"
 
     def test_rejects_bad_params(self, k4):
         with pytest.raises(ValueError):
