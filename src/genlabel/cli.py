@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -346,6 +347,41 @@ def report_to_csv(doc: dict) -> str:
     return ",".join(header) + "\n" + ",".join(row) + "\n"
 
 
+def to_json(doc, newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, without the pure-Python
+    encoder that ``indent`` falls back to.  Exact ints and strs, the bulk of
+    a report, are written here; containers follow json's isinstance rules,
+    and every other value goes through ``json.dumps``.  ``newline`` is the
+    line break and indent of the enclosing level."""
+    kind = type(doc)
+    if kind is int:
+        return str(doc)
+    if kind is str:
+        return encode_basestring_ascii(doc)
+    inner = newline + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [_json_key(key) + ": " + to_json(value, inner) for key, value in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = [str(x) if type(x) is int else to_json(x, inner) for x in doc]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(doc)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: a str as itself, an int, float, bool or
+    None as its JSON text in quotes."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload)
@@ -364,7 +400,7 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit((json.dumps(doc, indent=2) + "\n") if args.format == "json"
+    _emit((to_json(doc) + "\n") if args.format == "json"
           else report_to_csv(doc), args.out)
     if doc["status"] == "incomplete":
         return EXIT_INCOMPLETE

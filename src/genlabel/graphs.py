@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .rng import Stream, subseed
 
 GENERATOR_KINDS = ("clique", "path", "random-tree", "gnp", "forest-union")
+MAX_LINE_GRAPH_EDGES = 2_000_000  # edge-random at the cap peaks near 0.6 GB
 
 
 class EdgeListError(ValueError):
@@ -312,8 +313,13 @@ def line_graph(g: Graph) -> Graph:
     """The line graph L(G): vertex j of L(G) is edge j of G.
 
     Two L-vertices are adjacent iff the corresponding edges share an
-    endpoint, so deg_L(e) = deg(u)+deg(v)-2.
+    endpoint, so deg_L(e) = deg(u)+deg(v)-2.  L(G) has sum_v C(deg v, 2)
+    edges, and more than MAX_LINE_GRAPH_EDGES is refused before any is built.
     """
+    size = sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
+    if size > MAX_LINE_GRAPH_EDGES:
+        raise ValueError(f"line graph must have at most {MAX_LINE_GRAPH_EDGES} edges, "
+                         f"got {size}")
     l_edges = []
     for v in range(g.n):
         incident = [g.edge_id(v, u) for u in g.adjacency[v]]

@@ -12,8 +12,9 @@ run's master seed and its own id.  The derivation is a fixed, documented
   Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014).
 
 Because draw ``j`` of node ``v`` is a pure function of ``(seed, v, j)``,
-``draw_rows`` computes the first draws of many fresh streams at once as
-``uint64`` arrays; ``Stream.draw_many`` is its reference.
+``draw_array`` computes the first draws of many fresh streams at once as a
+``uint64`` array, and ``draw_rows`` lists them; ``Stream.draw_many`` is
+their reference.
 
 Bit-exact agreement with other runtimes is not a goal; determinism and
 distinctness of per-node streams are.
@@ -112,16 +113,26 @@ class Stream:
 
 def draw_rows(master_seed: int, n: int, count: int, bound: int) -> list[list[int]]:
     """Row ``v`` is ``Stream(master_seed, v).draw_many(count, bound)`` on a
-    fresh stream, for ``v`` in ``range(n)``, computed for all rows at once.
-
-    Each row is a function of its own ``(master_seed, v)`` stream only.  A row
-    in which some raw draw falls in the rejection zone, and every row of a
-    bound wider than 64 bits, is drawn again by ``Stream.draw_many``.
-    """
+    fresh stream, for ``v`` in ``range(n)``, computed for all rows at once by
+    ``draw_array`` when the bound fits 64 bits; every row of a wider bound is
+    drawn by ``Stream.draw_many``."""
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     if bound > 1 << 64:
         return [Stream(master_seed, v).draw_many(count, bound) for v in range(n)]
+    return draw_array(master_seed, n, count, bound).tolist()
+
+
+def draw_array(master_seed: int, n: int, count: int, bound: int):
+    """The ``draw_rows`` matrix as an ``(n, count)`` numpy ``uint64`` array,
+    for a bound in [1, 2**64].
+
+    Each row is a function of its own ``(master_seed, v)`` stream only.  A row
+    in which some raw draw falls in the rejection zone is drawn again by
+    ``Stream.draw_many``.
+    """
+    if not 0 < bound <= 1 << 64:
+        raise ValueError(f"bound must be in [1, 2**64], got {bound}")
     # numpy is imported here, not at module level: loading it costs 0.06 to
     # 0.12 s and 11.5 to 14 MiB of peak RSS per process (Python 3.11, numpy
     # 2.4), which the tags that never draw a row would pay for nothing.
@@ -140,10 +151,11 @@ def draw_rows(master_seed: int, n: int, count: int, bound: int) -> list[list[int
         base = mix(mix(nodes) ^ np.uint64(master_seed & MASK64))
         steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GAMMA)
         raw = mix(base[:, None] + steps[None, :])
-    rows = (raw if bound == 1 << 64 else raw % np.uint64(bound)).tolist()
     limit = (1 << 64) - ((1 << 64) % bound)
-    if limit < 1 << 64:
-        for v in np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)).tolist():
-            rows[v] = Stream(master_seed, v).draw_many(count, bound)
-    return rows
-
+    if limit == 1 << 64:
+        return raw if bound == 1 << 64 else raw % np.uint64(bound)
+    rejected = np.flatnonzero((raw >= np.uint64(limit)).any(axis=1)).tolist()
+    raw %= np.uint64(bound)
+    for v in rejected:
+        raw[v] = Stream(master_seed, v).draw_many(count, bound)
+    return raw

@@ -96,9 +96,10 @@ def check_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
         if not dom.domains.get(v):
             return _fail(name, "degenerate", f"vertex {v} has an empty domain", v)
     verdict = _ok(name)
+    domains = dom.domains
     for u, v in g.edges:
-        shared = dom.domains[u] & dom.domains[v]
-        if shared:
+        if not domains[u].isdisjoint(domains[v]):
+            shared = domains[u] & domains[v]
             verdict = _fail(name, "violated",
                             f"vertices {u},{v} share label {min(shared)}", [u, v])
             break

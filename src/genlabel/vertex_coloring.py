@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from operator import add
 
 from .coverfree import PolyFamily, residual_elements, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import MAX_DELTA, LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
-from .rng import draw_rows
+from .rng import draw_array, draw_rows
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 
@@ -161,20 +162,64 @@ class _DrawPruneProgram(NodeProgram):
 
 
 def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
-                   quiet: frozenset) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
+                   quiet: frozenset, engine: str = "fast"
+                   ) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
     """Run the draw-and-prune round; returns the surviving vertex domains
     (palette value_range*k), the run report, and the vertices left empty.
 
     Vertex v draws k values from [0, value_range) on its private stream and
-    tags draw i as ``i*value_range + value``."""
-    tags = range(0, k * value_range, value_range)
-    picks = [frozenset(map(add, tags, row)) for row in draw_rows(seed, g.n, k, value_range)]
-    report = run_sync(_DrawPruneProgram(picks, receivers, quiet), g, seed)
+    tags draw i as ``i*value_range + value``.  ``engine='program'`` runs the
+    message-passing reference, ``engine='fast'`` the centralized sweep; both
+    yield the same domains and the same report."""
+    if engine == "program":
+        tags = range(0, k * value_range, value_range)
+        picks = [frozenset(map(add, tags, row))
+                 for row in draw_rows(seed, g.n, k, value_range)]
+        report = run_sync(_DrawPruneProgram(picks, receivers, quiet), g, seed)
+    elif engine == "fast":
+        report = _draw_prune_sweep(g.n, seed, k, value_range, receivers, quiet)
+    else:
+        raise ValueError(f"engine must be 'fast' or 'program', got {engine!r}")
     domains = dict(enumerate(report.outputs))
     failed = tuple(v for v in range(g.n) if not domains[v])
     dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
                       stride=value_range)
     return dom, report, failed
+
+
+def _draw_prune_sweep(n: int, seed: int, k: int, value_range: int, receivers,
+                      quiet: frozenset) -> RunReport:
+    """The draw-and-prune round computed centrally, with the program's report.
+
+    Tags make two draws collide only at the same index, so draw i of a vertex
+    survives unless a vertex that sends to it drew the same value at i.  A
+    quiet vertex halts before the exchange and keeps every draw.  The labels
+    are compared one index at a time over the (sender, receiver) arrays, so no
+    array larger than one index's messages is gathered."""
+    import numpy as np
+
+    palette = value_range * k
+    if palette <= 1 << 64:
+        draws = draw_array(seed, n, k, value_range)
+    else:  # labels wider than 64 bits stay Python ints
+        draws = np.array(draw_rows(seed, n, k, value_range), dtype=object).reshape(n, k)
+    labels = draws + np.array(range(0, palette, value_range), dtype=draws.dtype)
+    senders = np.repeat(np.arange(n), list(map(len, receivers)))
+    messages = senders.size
+    targets = np.fromiter(chain.from_iterable(receivers), dtype=np.intp, count=messages)
+    listening = np.ones(n, dtype=bool)
+    listening[list(quiet)] = False
+    heard = listening[targets]
+    senders, targets = senders[heard], targets[heard]
+    keep = np.ones((n, k), dtype=bool)
+    for i in range(k):
+        column = labels[:, i]
+        keep[targets[column[senders] == column[targets]], i] = False
+    kept = iter(labels[keep].tolist())
+    outputs = tuple(frozenset(islice(kept, size)) for size in keep.sum(axis=1).tolist())
+    rounds = 0 if n == 0 else 1 if quiet.issuperset(range(n)) else 2
+    return RunReport(rounds=rounds, comm_rounds=int(targets.size > 0),
+                     messages_total=messages, seed=seed, outputs=outputs)
 
 
 def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,

@@ -1,10 +1,15 @@
+import enum
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genlabel
 from genlabel.cli import (
@@ -19,8 +24,10 @@ from genlabel.cli import (
     main,
     parse_gen_spec,
     parse_params,
+    to_json,
 )
 from genlabel.cli import ConfigError
+from genlabel.graphs import MAX_LINE_GRAPH_EDGES
 from genlabel.labels import MAX_DELTA
 
 
@@ -52,6 +59,57 @@ class TestParsing:
 
     def test_every_algorithm_has_schema_and_runs(self):
         assert len(ALGORITHMS) == 12
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+Pair = namedtuple("Pair", "left right")
+
+# Every kind of value json writes: ints and int subclasses, bools, None,
+# floats with their special values, and strings with non-ASCII characters,
+# control characters and lone surrogates.
+SCALARS = (st.integers() | st.booleans() | st.none() | st.sampled_from(list(Level))
+           | st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
+           | st.text(st.characters(exclude_categories=()))
+           | st.sampled_from(["\ud800", "a\udfffb", "\x00\x1f\x7f", "\u00e9\u2713\U0001f600"]))
+KEYS = (st.text(st.characters(exclude_categories=())) | st.integers() | st.booleans()
+        | st.none() | st.floats() | st.sampled_from(list(Level)))
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
+                   | st.builds(Pair, inner, inner)
+                   | st.dictionaries(KEYS, inner, max_size=6)),
+    max_leaves=40)
+
+
+class TestToJson:
+    """The report emitter against its reference, json.dumps(doc, indent=2)."""
+
+    @given(DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_equals_json_dumps(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        [1, True], [None, 2, False], {}, [], [[], {}], {"a": {"b": [[{}]]}},
+        {1: "x", True: 2.5, None: -0.0, 1.5: [1e16]}, (1, (2,)), Pair(3, [4]),
+        {"n": Level.HIGH, Level.LOW: "k"}, [math.nan, math.inf, -math.inf],
+    ], ids=repr)
+    def test_named_cases(self, doc):
+        assert to_json(doc) == json.dumps(doc, indent=2)
+
+    def test_bool_in_int_list_is_true(self):
+        assert to_json([1, True]) == "[\n  1,\n  true\n]"
+
+    @pytest.mark.parametrize("doc", [{(1, 2): 0}, [object()], {"a": {1, 2}}], ids=repr)
+    def test_unserializable_raises_like_json(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            to_json(doc)
 
 
 class TestRun:
@@ -273,6 +331,24 @@ class TestHugeDegree:
         proc = limited_cli(["run", "--algo", tag, "--graph", str(star), *params,
                             "--format", "csv", "--out", str(tmp_path / "r.csv")])
         assert proc.returncode == EXIT_OK, proc.stderr
+
+
+class TestHugeLineGraph:
+    """The line-graph tags on a 20,000-leaf star, whose line graph K_20000 has
+    about 2*10^8 edges: refused before it is built, with exit 2."""
+
+    @pytest.fixture(scope="class")
+    def star(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("star") / "star.edges"
+        path.write_text("".join(f"0 {v}\n" for v in range(1, 20_001)))
+        return path
+
+    @pytest.mark.parametrize("tag", ["edge-random", "edge-delta2", "dominating-edge"])
+    def test_config_error(self, star, tag):
+        proc = limited_cli(["run", "--algo", tag, "--graph", str(star)])
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (f"error: line graph must have at most {MAX_LINE_GRAPH_EDGES} "
+                               f"edges, got {20_000 * 19_999 // 2}\n")
 
 
 # A valid value for every optional --param on a small graph, the report field

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import genlabel
 from genlabel import Graph, GeneratorSpec, generate, run_sync, subseed
-from genlabel.rng import GAMMA, MASK64, Stream, draw_rows, mix64, stream_base
+from genlabel.rng import GAMMA, MASK64, Stream, draw_array, draw_rows, mix64, stream_base
 from genlabel.runtime import NodeProgram, RunReport
 
 
@@ -88,6 +88,16 @@ class TestStreams:
             rows = draw_rows(seed, n, count, bound)
             assert rows == [Stream(seed, v).draw_many(count, bound) for v in range(n)]
             assert all(type(x) is int for row in rows for x in row)
+
+    def test_draw_array_is_the_uint64_matrix(self):
+        """draw_rows lists draw_array; the array form is refused for a bound
+        wider than 64 bits, which only draw_rows serves."""
+        array = draw_array(3, 5, 4, 7)
+        assert (array.dtype.name, array.shape) == ("uint64", (5, 4))
+        assert array.tolist() == draw_rows(3, 5, 4, 7)
+        for bound in (0, 2**64 + 1):
+            with pytest.raises(ValueError, match="bound"):
+                draw_array(3, 5, 4, bound)
 
     def test_numpy_not_loaded_without_a_batched_draw(self, tmp_path):
         """numpy is imported on the first batched draw only, so the tags that

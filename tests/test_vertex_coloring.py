@@ -15,6 +15,8 @@ from genlabel import (
     orient_forest,
     smallest_prime_geq,
 )
+from genlabel.decomposition import h_partition
+from genlabel.vertex_coloring import draw_and_prune
 from genlabel.verify import (
     check_defective_domains,
     check_domains_disjoint,
@@ -145,6 +147,83 @@ class TestRandomColoring:
     def test_rejects_low_delta_bound(self, k4):
         with pytest.raises(ValueError):
             generic_random_coloring(k4, delta=1)
+
+
+def _roots(orientation) -> frozenset:
+    return frozenset(v for v in range(orientation.graph.n) if not orientation.out_degree(v))
+
+
+class TestDrawPruneEngines:
+    """The centralized sweep against the message-passing program: the same
+    domains, failed vertices and run report, outputs included."""
+
+    @staticmethod
+    def assert_agree(g, k, value_range, receivers, quiet, seeds=range(3)):
+        for seed in seeds:
+            program = draw_and_prune(g, seed, k, value_range, receivers, quiet,
+                                     engine="program")
+            fast = draw_and_prune(g, seed, k, value_range, receivers, quiet, engine="fast")
+            assert fast[0] == program[0]
+            assert fast[0].domains == program[0].domains
+            assert fast[1] == program[1]
+            assert fast[2] == program[2]
+        return program[1]
+
+    @pytest.mark.parametrize("n,p", [(2, 1.0), (30, 0.1), (120, 0.05), (60, 0.4)])
+    @pytest.mark.parametrize("k,value_range", [(1, 2), (5, 3), (12, 40)])
+    def test_gnp(self, n, p, k, value_range):
+        g = generate(GeneratorSpec("gnp", n, p=p, seed=n))
+        report = self.assert_agree(g, k, value_range, g.adjacency, frozenset())
+        assert report.messages_total == 2 * g.m
+
+    def test_some_vertices_fail(self):
+        """A tiny value range empties some domains, and both engines agree
+        on which."""
+        g = generate(GeneratorSpec("clique", 12))
+        assert draw_and_prune(g, 0, 2, 2, g.adjacency, frozenset())[2]
+        self.assert_agree(g, 2, 2, g.adjacency, frozenset())
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_arboricity_orientation_with_quiet_roots(self, a):
+        g = generate(GeneratorSpec("forest-union", 80, a=a, seed=a))
+        orientation = h_partition(g, a).orientation
+        self.assert_agree(g, 6, 4, orientation.children(), _roots(orientation))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs(self, n):
+        g = Graph.from_edges(n, [])
+        report = self.assert_agree(g, 4, 8, g.adjacency, frozenset())
+        assert (report.rounds, report.comm_rounds, report.messages_total) == (2 * n, 0, 0)
+
+    def test_isolated_vertices(self):
+        g = Graph.from_edges(7, [(0, 1), (1, 2)])
+        self.assert_agree(g, 5, 2, g.adjacency, frozenset())
+
+    def test_all_quiet(self):
+        """Every vertex halts before the exchange: one round, no delivery,
+        every draw kept, and the messages sent are still counted."""
+        g = generate(GeneratorSpec("clique", 6))
+        report = self.assert_agree(g, 5, 2, g.adjacency, frozenset(range(6)))
+        assert (report.rounds, report.comm_rounds, report.messages_total) == (1, 0, 30)
+        assert all(len(domain) == 5 for domain in report.outputs)
+
+    def test_star(self):
+        g = Graph.from_edges(41, [(0, v) for v in range(1, 41)])
+        self.assert_agree(g, 8, 6, g.adjacency, frozenset())
+        orientation = orient_forest(g)
+        self.assert_agree(g, 8, 6, orientation.children(), _roots(orientation))
+
+    @pytest.mark.parametrize("k,value_range", [(2, 2**63), (3, 2**63), (3, 2**64 + 5)])
+    def test_wide_labels(self, k, value_range):
+        """Labels at and past 64 bits: a palette of 2**64 still fits uint64, a
+        wider one keeps the labels as Python ints, and a value range above
+        2**64 is drawn row by row."""
+        g = generate(GeneratorSpec("gnp", 20, p=0.3, seed=1))
+        self.assert_agree(g, k, value_range, g.adjacency, frozenset())
+
+    def test_unknown_engine(self, k4):
+        with pytest.raises(ValueError, match="engine"):
+            draw_and_prune(k4, 0, 2, 4, k4.adjacency, frozenset(), engine="fastest")
 
 
 class TestDelta2:
