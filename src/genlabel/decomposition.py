@@ -7,9 +7,10 @@ the largest candidacy it hears joins that candidate's cluster and retires.
 A cluster is identified by (phase, center id), so two vertices sharing a
 cluster label lie within 2B of each other in the original graph.
 
-Two interchangeable engines compute it: a message-passing node program (the
-round-model reference) and a centralized sweep that produces the identical
-clustering from the same seeds.  The sweep prunes its floods: within a phase
+``linial_saks`` computes it by a centralized sweep that produces the
+clustering of the message-passing node program from the same seeds;
+``_linial_saks_program`` runs that program and is the reference the tests
+check the sweep against.  The sweep prunes its floods: within a phase
 it expands a vertex only for a remaining radius larger than any earlier flood
 brought there, since a smaller one reaches only vertices already claimed.
 Its message count is the number of expansions it simulates, each a distinct
@@ -101,8 +102,19 @@ class _LSProgram(NodeProgram):
         return state[4]
 
 
-def _linial_saks_program(g: Graph, seed: int, radius_cap: int,
-                         phase_budget: int) -> Clustering:
+def _cap_and_budget(n: int, radius_cap: int | None) -> tuple[int, int]:
+    """The radius cap (the default for n if None) and the phase budget."""
+    cap = default_radius_cap(n) if radius_cap is None else radius_cap
+    if cap < 1:
+        raise ValueError(f"radius cap must be >= 1, got {cap}")
+    return cap, max(8, math.ceil(8 * math.log2(max(n, 2))))  # phases before giving up
+
+
+def _linial_saks_program(g: Graph, seed: int = 0,
+                         radius_cap: int | None = None) -> Clustering:
+    """``linial_saks`` run as the message-passing node program: the reference
+    the sweep is checked against in the tests."""
+    radius_cap, phase_budget = _cap_and_budget(g.n, radius_cap)
     program = _LSProgram(radius_cap, phase_budget)
     report = run_sync(program, g, seed,
                       max_rounds=phase_budget * (radius_cap + 1) + 1)
@@ -111,9 +123,14 @@ def _linial_saks_program(g: Graph, seed: int, radius_cap: int,
                       radius_cap=radius_cap, report=report)
 
 
-def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
-                      phase_budget: int) -> Clustering:
-    """Centralized sweep; produces the same clustering as the node program.
+def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clustering:
+    """One weak-diameter clustering execution, computed by a centralized sweep
+    that yields the node program's clustering for the same seed.
+
+    Every vertex lands in exactly one cluster whose members sit within
+    2*radius_cap of each other in G; a vertex that stays unclustered past the
+    phase budget gives up and is reported in ``failed`` (retry with a new
+    seed).
 
     Per phase, candidates are processed in decreasing (radius, id) order;
     a bounded BFS through this phase's active vertices claims every vertex
@@ -132,6 +149,7 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
     never exceeds the program's count.  ``best[u]`` only rises through values
     below the cap, so a phase costs at most ``radius_cap * n`` messages.
     """
+    radius_cap, phase_budget = _cap_and_budget(g.n, radius_cap)
     n = g.n
     streams = [Stream(seed, v) for v in range(n)]
     clusters: list[tuple[int, int] | None] = [None] * n
@@ -190,28 +208,6 @@ def _linial_saks_fast(g: Graph, seed: int, radius_cap: int,
                              incomplete=bool(active))
     return Clustering(clusters=tuple(clusters), phase_count=phases_run,
                       radius_cap=radius_cap, report=report)
-
-
-def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None,
-                engine: str = "fast") -> Clustering:
-    """One weak-diameter clustering execution.
-
-    Every vertex lands in exactly one cluster whose members sit within
-    2*radius_cap of each other in G; a vertex that stays unclustered past the
-    phase budget gives up and is reported in ``failed`` (retry with a new
-    seed).  ``engine='program'`` runs the message-passing reference,
-    ``engine='fast'`` the centralized sweep; both yield identical clusterings
-    for the same seed.
-    """
-    cap = default_radius_cap(g.n) if radius_cap is None else radius_cap
-    if cap < 1:
-        raise ValueError(f"radius cap must be >= 1, got {cap}")
-    budget = max(8, math.ceil(8 * math.log2(max(g.n, 2))))  # phases before giving up
-    if engine == "program":
-        return _linial_saks_program(g, seed, cap, budget)
-    if engine == "fast":
-        return _linial_saks_fast(g, seed, cap, budget)
-    raise ValueError(f"engine must be 'fast' or 'program', got {engine!r}")
 
 
 def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
@@ -348,7 +344,8 @@ class _ForestIdProgram(NodeProgram):
             return [1, (), ()], [(u, ctx.node) for u in ctx.neighbors], False
         if r == 1:
             higher = sorted(nid for _, nid in inbox if nid > ctx.node)
-            numbers = ctx.rng.shuffle(list(range(1, self.forest_count + 1)))
+            # a vertex with no edge to number skips its shuffle: its stream is its own
+            numbers = ctx.rng.shuffle(list(range(1, self.forest_count + 1))) if higher else ()
             assigned = tuple(zip(higher, numbers))
             return [2, assigned, ()], [(u, num) for u, num in assigned], False
         received = tuple(sorted((u, num) for u, num in inbox))
@@ -395,8 +392,11 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
         assigner = [0] * g.m
         messages = 0
         for v in range(g.n):
+            out = orientation.out_edges(v)
+            if not out:  # as in id mode, only a vertex that numbers shuffles
+                continue
             numbers = Stream(seed, v).shuffle(list(range(1, forest_count + 1)))
-            for num, e in zip(numbers, orientation.out_edges(v)):
+            for num, e in zip(numbers, out):
                 labels[e] = num
                 assigner[e] = v
                 messages += 1

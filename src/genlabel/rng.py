@@ -13,8 +13,7 @@ run's master seed and its own id.  The derivation is a fixed, documented
 
 Because draw ``j`` of node ``v`` is a pure function of ``(seed, v, j)``,
 ``draw_array`` computes the first draws of many fresh streams at once as a
-``uint64`` array, and ``draw_rows`` lists them; ``Stream.draw_many`` is
-their reference.
+``uint64`` array; ``Stream.draw_many`` is its reference.
 
 Bit-exact agreement with other runtimes is not a goal; determinism and
 distinctness of per-node streams are.
@@ -111,21 +110,10 @@ class Stream:
         return value
 
 
-def draw_rows(master_seed: int, n: int, count: int, bound: int) -> list[list[int]]:
-    """Row ``v`` is ``Stream(master_seed, v).draw_many(count, bound)`` on a
-    fresh stream, for ``v`` in ``range(n)``, computed for all rows at once by
-    ``draw_array`` when the bound fits 64 bits; every row of a wider bound is
-    drawn by ``Stream.draw_many``."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
-    if bound > 1 << 64:
-        return [Stream(master_seed, v).draw_many(count, bound) for v in range(n)]
-    return draw_array(master_seed, n, count, bound).tolist()
-
-
 def draw_array(master_seed: int, n: int, count: int, bound: int):
-    """The ``draw_rows`` matrix as an ``(n, count)`` numpy ``uint64`` array,
-    for a bound in [1, 2**64].
+    """Row ``v`` is ``Stream(master_seed, v).draw_many(count, bound)`` on a
+    fresh stream, for ``v`` in ``range(n)``, computed for all rows at once as
+    an ``(n, count)`` numpy ``uint64`` array, for a bound in [1, 2**64].
 
     Each row is a function of its own ``(master_seed, v)`` stream only.  A row
     in which some raw draw falls in the rejection zone is drawn again by

@@ -241,9 +241,12 @@ class _UnionFind:
 
 def check_forest_labeling(g: Graph, edge_labels, assigner, label_count: int) -> Verdict:
     """Each label class must be acyclic and each vertex must give its
-    assigned edges pairwise distinct labels in 1..label_count."""
+    assigned edges pairwise distinct labels in 1..label_count.  Classes are
+    checked in ascending label order, each by a union-find over its own edges
+    in ascending edge order."""
     name = "forest-labeling"
     used: list[set[int]] = [set() for _ in range(g.n)]
+    classes: dict[int, list[int]] = {}
     for e in range(g.m):
         lbl, v = edge_labels[e], assigner[e]
         if not 1 <= lbl <= label_count:
@@ -253,12 +256,16 @@ def check_forest_labeling(g: Graph, edge_labels, assigner, label_count: int) -> 
             return _fail(name, "violated",
                          f"vertex {v} assigned label {lbl} to two of its edges", v)
         used[v].add(lbl)
-    for lbl in range(1, label_count + 1):
-        uf = _UnionFind(g.n)
-        for e, (u, v) in enumerate(g.edges):
-            if edge_labels[e] == lbl and not uf.union(u, v):
+        classes.setdefault(lbl, []).append(e)
+    uf = _UnionFind(g.n)
+    for lbl in sorted(classes):
+        for e in classes[lbl]:
+            if not uf.union(*g.edges[e]):
                 return _fail(name, "violated",
                              f"label class {lbl} contains a cycle through edge {e}", e)
+        for e in classes[lbl]:  # only this class's endpoints were joined
+            for x in g.edges[e]:
+                uf.parent[x] = x
     return _ok(name)
 
 

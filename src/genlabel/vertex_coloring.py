@@ -18,7 +18,7 @@ from .coverfree import PolyFamily, residual_elements, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import MAX_DELTA, LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
-from .rng import draw_array, draw_rows
+from .rng import Stream, draw_array
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 
 
@@ -141,12 +141,15 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
 
 
 class _DrawPruneProgram(NodeProgram):
-    """Send the node's tagged draws to ``receivers[v]`` and drop anything
-    received.  A node in ``quiet`` is sent nothing, so it halts right after
-    its draw; every other node waits one round for its inbox."""
+    """Draw k values from [0, value_range) on the node's own stream, tag draw
+    i as ``i*value_range + value``, send the tagged draws to ``receivers[v]``
+    and drop anything received.  A node in ``quiet`` is sent nothing, so it
+    halts right after its draw; every other node waits one round for its
+    inbox.  The reference the tests check ``_draw_prune_sweep`` against."""
 
-    def __init__(self, picks: list[frozenset], receivers, quiet: frozenset):
-        self.picks = picks  # picks[v] is drawn from node v's own stream
+    def __init__(self, k: int, value_range: int, receivers, quiet: frozenset):
+        self.value_range = value_range
+        self.tags = range(0, k * value_range, value_range)
         self.receivers = receivers
         self.quiet = quiet
 
@@ -156,30 +159,22 @@ class _DrawPruneProgram(NodeProgram):
     def step(self, ctx: NodeContext, state, inbox):
         node = ctx.node
         if state is None:
-            picks = self.picks[node]
+            draws = ctx.rng.draw_many(len(self.tags), self.value_range)
+            picks = frozenset(map(add, self.tags, draws))
             return picks, [(u, picks) for u in self.receivers[node]], node in self.quiet
         return state.difference(*[theirs for _, theirs in inbox]), [], True
 
 
 def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
-                   quiet: frozenset, engine: str = "fast"
-                   ) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
+                   quiet: frozenset) -> tuple[LabelDomain, RunReport, tuple[int, ...]]:
     """Run the draw-and-prune round; returns the surviving vertex domains
     (palette value_range*k), the run report, and the vertices left empty.
 
     Vertex v draws k values from [0, value_range) on its private stream and
-    tags draw i as ``i*value_range + value``.  ``engine='program'`` runs the
-    message-passing reference, ``engine='fast'`` the centralized sweep; both
-    yield the same domains and the same report."""
-    if engine == "program":
-        tags = range(0, k * value_range, value_range)
-        picks = [frozenset(map(add, tags, row))
-                 for row in draw_rows(seed, g.n, k, value_range)]
-        report = run_sync(_DrawPruneProgram(picks, receivers, quiet), g, seed)
-    elif engine == "fast":
-        report = _draw_prune_sweep(g.n, seed, k, value_range, receivers, quiet)
-    else:
-        raise ValueError(f"engine must be 'fast' or 'program', got {engine!r}")
+    tags draw i as ``i*value_range + value``.  The round is computed by the
+    centralized sweep, which yields the domains and the report of the
+    message-passing ``_DrawPruneProgram``."""
+    report = _draw_prune_sweep(g.n, seed, k, value_range, receivers, quiet)
     domains = dict(enumerate(report.outputs))
     failed = tuple(v for v in range(g.n) if not domains[v])
     dom = LabelDomain(kind="vertex", domains=domains, palette=value_range * k,
@@ -202,7 +197,8 @@ def _draw_prune_sweep(n: int, seed: int, k: int, value_range: int, receivers,
     if palette <= 1 << 64:
         draws = draw_array(seed, n, k, value_range)
     else:  # labels wider than 64 bits stay Python ints
-        draws = np.array(draw_rows(seed, n, k, value_range), dtype=object).reshape(n, k)
+        rows = [Stream(seed, v).draw_many(k, value_range) for v in range(n)]
+        draws = np.array(rows, dtype=object).reshape(n, k)
     labels = draws + np.array(range(0, palette, value_range), dtype=draws.dtype)
     senders = np.repeat(np.arange(n), list(map(len, receivers)))
     messages = senders.size

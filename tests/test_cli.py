@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlabel
+from genlabel import LabelDomain, cli
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
@@ -215,6 +217,57 @@ class TestRun:
         out = tmp_path / "r.json"
         main(base + ["--param", "label_budget=1", "--out", str(out)])
         assert json.loads(out.read_text())["metrics"]["label_budget"] == 1
+
+    def test_cv3_expansion_delta_zero_config_error(self, capsys):
+        """A given delta of 0 reaches expand_to_generic instead of falling back
+        to the max degree."""
+        code = main(["run", "--algo", "cv3-expansion", "--gen", "path:n=4",
+                     "--param", "delta=0"])
+        assert code == EXIT_CONFIG
+        assert "delta must be positive, got 0" in capsys.readouterr().err
+
+    def test_kuhn_edge_checks_its_own_bound(self, tmp_path, monkeypatch):
+        """The defect bound 4i-2 comes from --param i, not from the result:
+        colors of defect 3 fail i=1 even when the result claims a bound of 99."""
+        real = cli.kuhn_defective_edge_coloring
+
+        def claims_99(g, i, seed=0):
+            return replace(real(g, i=i, seed=seed), colors=(0,) * g.m, defect_bound=99)
+
+        monkeypatch.setattr(cli, "kuhn_defective_edge_coloring", claims_99)
+        star = tmp_path / "star.edges"
+        star.write_text("0 1\n0 2\n0 3\n0 4\n")
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "kuhn-edge", "--graph", str(star), "--param", "i=1",
+                     "--out", str(out)]) == EXIT_VERDICT
+        metrics = json.loads(out.read_text())["metrics"]
+        assert (metrics["defect_bound"], metrics["measured_defect"]) == (2, 3)
+        assert not metrics["verdicts"][0]["ok"]
+
+    def test_dominating_class_counterexample_is_an_edge_of_g(self, tmp_path, monkeypatch):
+        """A class that is not a matching is reported at an edge id of G, not
+        at its index in the class's own subgraph."""
+        real = cli.dominating_edge_coloring
+
+        def one_bad_class(g, seed=0, **params):
+            res = real(g, seed=seed, **params)
+            dominating = frozenset({2, 3, 5})  # (2,3), (3,4), (5,6): 2 and 3 meet
+            domains = {e: frozenset(range(3)) for e in sorted(dominating)}
+            return replace(res, dominating=dominating,
+                           class_of=tuple(int(e in dominating) for e in range(g.m)),
+                           domains=LabelDomain(kind="edge", domains=domains, palette=3,
+                                               stride=3),
+                           params={**res.params, "classes": 1})
+
+        monkeypatch.setattr(cli, "dominating_edge_coloring", one_bad_class)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "dominating-edge", "--gen", "path:n=7",
+                     "--out", str(out)]) == EXIT_VERDICT
+        doc = json.loads(out.read_text())
+        verdict = doc["metrics"]["verdicts"][1]
+        assert (verdict["name"], verdict["ok"]) == ("class-1-matching", False)
+        assert verdict["counterexample"] == 3
+        assert (doc["edges"][3]["u"], doc["edges"][3]["v"]) == (3, 4)
 
     def test_graph_directory_config_error(self, tmp_path, capsys):
         code = main(["run", "--algo", "forest-id", "--graph", str(tmp_path)])
@@ -446,6 +499,18 @@ class TestBench:
         assert "requires parameter i" in rows["missing"]
         assert "1/1" in rows["good"]
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_internal_error_not_a_row_note(self, tmp_path, monkeypatch):
+        """Only configuration errors (ValueError) become a row's note; a
+        KeyError from inside a runner is a fault and propagates."""
+        def broken(g, seed, params):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(ALGORITHMS, "forest-id", ALGORITHMS["forest-id"]._replace(run=broken))
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"algo": "forest-id", "gen": "path:n=4"}]))
+        with pytest.raises(KeyError, match="internal"):
+            main(["bench", "--suite", str(suite), "--out", str(tmp_path / "table.txt")])
 
     def test_suite_not_a_list_config_error(self, tmp_path, capsys):
         suite = tmp_path / "s.json"

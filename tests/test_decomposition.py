@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from genlabel import GeneratorSpec, Graph, generate, orient_by_id
+from genlabel import GeneratorSpec, Graph, Stream, generate, orient_by_id
 from genlabel.decomposition import (
     ArboricityError,
     arboricity_generic_coloring,
@@ -12,6 +12,7 @@ from genlabel.decomposition import (
     generic_network_decomposition,
     h_partition,
     linial_saks,
+    _linial_saks_program,
 )
 from genlabel.verify import (
     check_domains_disjoint,
@@ -38,8 +39,9 @@ def bfs_dist(g, s):
 class TestLinialSaks:
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
-        c = linial_saks(g, seed=0, engine="program")
+        c = linial_saks(g, seed=0)
         assert c.clusters[0] is not None and not c.failed
+        assert _linial_saks_program(g, seed=0).clusters == c.clusters
 
     def test_path64_weak_diameter_bfs_oracle(self):
         g = generate(GeneratorSpec("path", 64))
@@ -70,8 +72,8 @@ class TestLinialSaks:
             for seed in range(4):
                 g = generate(replace(spec, seed=seed))
                 for cap in (None, 1, 2, 5):
-                    a = linial_saks(g, seed=seed, radius_cap=cap, engine="program")
-                    b = linial_saks(g, seed=seed, radius_cap=cap, engine="fast")
+                    a = _linial_saks_program(g, seed=seed, radius_cap=cap)
+                    b = linial_saks(g, seed=seed, radius_cap=cap)
                     case = (spec.kind, seed, cap)
                     assert a.clusters == b.clusters, case
                     assert a.phase_count == b.phase_count, case
@@ -226,6 +228,23 @@ class TestForestDecomposition:
             for combo in product(*space):
                 labels = {e: num for part in combo for e, num in part}
                 assert classes_acyclic(g, labels, forest_count)
+
+    def test_id_mode_draws_only_where_it_numbers(self, monkeypatch):
+        """Only a vertex with a higher-id neighbor shuffles the labels: on a
+        300-leaf star the center's one shuffle takes 299 draws and the leaves
+        none, where a leaf that shuffled all 300 labels would add 299 each."""
+        draws = []
+        draw_uniform = Stream.draw_uniform
+
+        def counted(stream, bound):
+            draws.append(bound)
+            return draw_uniform(stream, bound)
+
+        monkeypatch.setattr(Stream, "draw_uniform", counted)
+        star = Graph.from_edges(301, [(0, v) for v in range(1, 301)])
+        labeling, _, _ = forest_decomposition(star, mode="id", seed=3)
+        assert len(draws) <= 300
+        assert sorted(labeling.edge_labels) == list(range(1, 301))
 
     def test_label_domain_full_range(self, k4):
         _, dom, _ = forest_decomposition(k4, mode="id", seed=1)

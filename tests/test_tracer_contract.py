@@ -17,7 +17,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TAGS = ("random-coloring", "network-decomposition", "dominating-edge", "edge-delta2")
 TRACED = [case for case in CASES for tag in TAGS
           if case[0].startswith(f"run --algo {tag} ") and "--seed 0 --format json" in case[0]]
-LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s", "graphs.line_graph_s",
+LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s",
+          "decomposition.flood_messages", "decomposition.phases", "graphs.line_graph_s",
           "coverfree.set_elements_calls", "verify.check_s",
           "vertex_coloring.random_coloring_s", "vertex_coloring.delta2_coloring_s",
           "edge_coloring.line_graph_coloring_s")

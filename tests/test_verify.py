@@ -1,5 +1,7 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from genlabel import GeneratorSpec, Graph, LabelDomain, generate
 from genlabel.verify import (
@@ -14,6 +16,8 @@ from genlabel.verify import (
     check_network_decomposition,
     check_proper_vertex,
     metrics,
+    Verdict,
+    _UnionFind,
 )
 
 
@@ -102,6 +106,53 @@ class TestEdgeCheckers:
         assert not check_matching(path4, [0]).ok  # edge 2 still addable
 
 
+@st.composite
+def forest_labelings(draw):
+    """A small graph with an edge labeling that may break any rule: labels
+    out of range, a repeated label at an assigner, or a cycle in a class."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=min(n, len(pairs)),
+                          unique=True)) if pairs else []
+    g = Graph.from_edges(n, edges)
+    assigner = [draw(st.sampled_from(edge)) for edge in g.edges]
+    label_count = max(1, max(map(assigner.count, range(n))) - draw(st.integers(0, 1)))
+    # each vertex deals out its own order of the labels, repeating once it
+    # has assigned them all; one label may then be overwritten by any value
+    orders = [draw(st.permutations(range(1, label_count + 1))) for _ in range(n)]
+    dealt = [0] * n
+    labels = []
+    for v in assigner:
+        labels.append(orders[v][dealt[v] % label_count])
+        dealt[v] += 1
+    if g.m and not draw(st.integers(0, 3)):
+        labels[draw(st.integers(0, g.m - 1))] = draw(st.integers(0, label_count + 1))
+    return g, labels, assigner, label_count
+
+
+def forest_reference(g, edge_labels, assigner, label_count):
+    """The forest checker by its definition: one union-find pass over every
+    edge for each label in 1..label_count."""
+    name = "forest-labeling"
+    used = [set() for _ in range(g.n)]
+    for e in range(g.m):
+        lbl, v = edge_labels[e], assigner[e]
+        if not 1 <= lbl <= label_count:
+            return Verdict(name, False, "violated",
+                           f"edge {e} labeled {lbl} outside 1..{label_count}", e)
+        if lbl in used[v]:
+            return Verdict(name, False, "violated",
+                           f"vertex {v} assigned label {lbl} to two of its edges", v)
+        used[v].add(lbl)
+    for lbl in range(1, label_count + 1):
+        uf = _UnionFind(g.n)
+        for e, (u, v) in enumerate(g.edges):
+            if edge_labels[e] == lbl and not uf.union(u, v):
+                return Verdict(name, False, "violated",
+                               f"label class {lbl} contains a cycle through edge {e}", e)
+    return Verdict(name, True)
+
+
 class TestForestChecker:
     def test_triangle_single_class_cycle(self, triangle):
         # assigners all distinct so only the class-1 cycle can trip the check
@@ -116,6 +167,24 @@ class TestForestChecker:
         g = Graph.from_edges(3, [(0, 1), (0, 2)])
         v = check_forest_labeling(g, [1, 1], [0, 0], 2)
         assert not v.ok and "two of its edges" in v.detail
+
+    def test_first_cycle_in_lowest_label(self):
+        """Two label classes each close a cycle; the lower label is reported,
+        at the edge that closes its cycle."""
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        v = check_forest_labeling(g, [2, 2, 2, 1, 1, 1], [0, 2, 1, 3, 5, 4], 2)
+        assert not v.ok and v.counterexample == g.edge_id(4, 5)
+        assert "label class 1" in v.detail
+
+    @given(forest_labelings())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_pass_per_label(self, case):
+        """The checker against its definition, written out: the range and
+        assigner scan, then one union-find over all edges for each label
+        1..label_count in turn; the first failure is reported."""
+        g, labels, assigner, label_count = case
+        assert check_forest_labeling(g, labels, assigner, label_count) == \
+            forest_reference(g, labels, assigner, label_count)
 
 
 class TestNetworkDecomposition:

@@ -16,7 +16,8 @@ from genlabel import (
     smallest_prime_geq,
 )
 from genlabel.decomposition import h_partition
-from genlabel.vertex_coloring import draw_and_prune
+from genlabel.runtime import run_sync
+from genlabel.vertex_coloring import _DrawPruneProgram, draw_and_prune
 from genlabel.verify import (
     check_defective_domains,
     check_domains_disjoint,
@@ -154,20 +155,19 @@ def _roots(orientation) -> frozenset:
 
 
 class TestDrawPruneEngines:
-    """The centralized sweep against the message-passing program: the same
-    domains, failed vertices and run report, outputs included."""
+    """The centralized sweep against the message-passing program, each node
+    drawing on its own stream: the same run report, outputs included, and
+    the same vertices left empty."""
 
     @staticmethod
     def assert_agree(g, k, value_range, receivers, quiet, seeds=range(3)):
         for seed in seeds:
-            program = draw_and_prune(g, seed, k, value_range, receivers, quiet,
-                                     engine="program")
-            fast = draw_and_prune(g, seed, k, value_range, receivers, quiet, engine="fast")
-            assert fast[0] == program[0]
-            assert fast[0].domains == program[0].domains
-            assert fast[1] == program[1]
-            assert fast[2] == program[2]
-        return program[1]
+            program = run_sync(_DrawPruneProgram(k, value_range, receivers, quiet), g, seed)
+            _, report, failed = draw_and_prune(g, seed, k, value_range, receivers, quiet)
+            assert report == program
+            assert failed == tuple(v for v, domain in enumerate(program.outputs)
+                                   if not domain)
+        return program
 
     @pytest.mark.parametrize("n,p", [(2, 1.0), (30, 0.1), (120, 0.05), (60, 0.4)])
     @pytest.mark.parametrize("k,value_range", [(1, 2), (5, 3), (12, 40)])
@@ -177,8 +177,8 @@ class TestDrawPruneEngines:
         assert report.messages_total == 2 * g.m
 
     def test_some_vertices_fail(self):
-        """A tiny value range empties some domains, and both engines agree
-        on which."""
+        """A tiny value range empties some domains, and the sweep and the
+        program agree on which."""
         g = generate(GeneratorSpec("clique", 12))
         assert draw_and_prune(g, 0, 2, 2, g.adjacency, frozenset())[2]
         self.assert_agree(g, 2, 2, g.adjacency, frozenset())
@@ -220,10 +220,6 @@ class TestDrawPruneEngines:
         2**64 is drawn row by row."""
         g = generate(GeneratorSpec("gnp", 20, p=0.3, seed=1))
         self.assert_agree(g, k, value_range, g.adjacency, frozenset())
-
-    def test_unknown_engine(self, k4):
-        with pytest.raises(ValueError, match="engine"):
-            draw_and_prune(k4, 0, 2, 4, k4.adjacency, frozenset(), engine="fastest")
 
 
 class TestDelta2:
