@@ -213,10 +213,13 @@ def _kuhn_edge(g: Graph, seed: int, params: dict):
 def _dominating_edge(g: Graph, seed: int, params: dict):
     res = dominating_edge_coloring(g, seed=seed, **params)
     verdicts = [verify.check_edge_dominating(g, res.dominating)]
-    for cls in range(1, res.params["classes"] + 1):
-        members = [e for e in sorted(res.dominating) if res.class_of[e] == cls]
+    classes = math.isqrt(max(g.max_degree, 1) - 1) + 1  # ceil(sqrt(max_degree))
+    for cls in range(1, classes + 1):
+        # class cls's dominating edges must be a maximal matching of its edges
+        members = [e for e in range(g.m) if res.class_of[e] == cls]
         sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
-        verdict = verify.check_matching(sub, range(sub.m))
+        matched = [i for i, e in enumerate(members) if e in res.dominating]
+        verdict = verify.check_matching(sub, matched)
         bad = verdict.counterexample  # subgraph edge i is G's edge members[i]
         verdicts.append(replace(verdict, name=f"class-{cls}-matching", detail="",
                                 counterexample=None if bad is None else members[bad]))

@@ -5,18 +5,21 @@ Line-graph runs reuse the vertex algorithms on L(G) verbatim (the draw budget
 k uses L(G)'s vertex count, i.e. the edge count of G); the higher-id endpoint
 of each edge is recorded as the node responsible for simulating it.  The
 dominating-set algorithm replaces its two cited subroutines with simple
-randomized ones, so its round count is reported but carries no bound.
+randomized ones, so its round count is reported but carries no bound.  They
+run as centralized sweeps over G; their node programs are the references the
+tests run under ``run_sync``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .graphs import Graph, line_graph
+from .graphs import Graph, line_graph, line_graph_size
 from .labels import MAX_FACTOR, LabelDomain
 from .results import DomainsResult
-from .rng import subseed
+from .rng import Stream, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import generic_delta2_coloring, generic_random_coloring
 
@@ -189,13 +192,78 @@ def simple_edge_coloring(g: Graph, palette_size: int | None = None,
     Needs a palette of at least 2*max_degree - 1 (so a free color always
     exists); with 3*max_degree or more it terminates in logarithmically many
     rounds with high probability, else the report is flagged incomplete.
+    The run is ``_ProposalColoringProgram`` on L(G), computed as a sweep
+    over G that builds no L(G).
     """
     delta = max(g.max_degree, 1)
     palette = 3 * delta if palette_size is None else palette_size
     if palette < 2 * delta - 1:
         raise ValueError(f"palette {palette} below 2*max_degree-1 = {2 * delta - 1}")
-    return run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
-                    max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
+    line_graph_size(g)
+    return _proposal_sweep(g, palette, seed, max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
+
+
+def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int) -> RunReport:
+    """``run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
+    max_rounds)``, report for report, replayed on G.
+
+    The L-nodes run in lock-step: every live edge proposes in odd rounds and
+    resolves in even ones.  So the colors edge (u, v) has heard fixed are the
+    ones fixed at u or v before it proposes, ``used[u] | used[v]``, and it
+    clashes when another live edge at u or at v proposed the same color.
+    Each proposal and each fix sends deg_L(e) = deg(u) + deg(v) - 2
+    messages.  A round is a communication round when a message reaches an
+    edge that is still live.
+    """
+    edges = g.edges
+    deg = [len(a) for a in g.adjacency]
+    fan = [deg[u] + deg[v] - 2 for u, v in edges]
+    used: list[set[int]] = [set() for _ in range(g.n)]
+    streams = [Stream(seed, e) for e in range(g.m)]
+    colors: list[int | None] = [None] * g.m
+    live = list(range(g.m))
+    fixed_at: set[int] = set()  # the endpoints of the edges fixed last round
+    rounds = comm_rounds = messages = 0
+    while live and rounds < max_rounds:
+        # propose: draw the r-th color outside the fixed ones at both endpoints
+        comm_rounds += bool(fixed_at) and any(
+            u in fixed_at or v in fixed_at for u, v in map(edges.__getitem__, live))
+        rounds += 1
+        proposals = []
+        for e in live:
+            u, v = edges[e]
+            taken = used[u] | used[v]
+            color = streams[e].draw_uniform(palette - len(taken))
+            for x in sorted(taken):
+                if x > color:
+                    break
+                color += 1
+            proposals.append(color)
+            messages += fan[e]
+        if rounds == max_rounds:
+            break
+        # resolve: keep a proposal no other live edge made at either endpoint;
+        # proposals reach a live edge iff two live edges meet at some vertex
+        ends = [(u * palette + c, v * palette + c)  # (endpoint, color) keys
+                for (u, v), c in zip(map(edges.__getitem__, live), proposals)]
+        proposed = Counter(key for pair in ends for key in pair)
+        comm_rounds += len({key // palette for key in proposed}) < 2 * len(live)
+        rounds += 1
+        fixed_at = set()
+        clashed = []
+        for e, color, (at_u, at_v) in zip(live, proposals, ends):
+            if proposed[at_u] > 1 or proposed[at_v] > 1:
+                clashed.append(e)
+                continue
+            u, v = edges[e]
+            colors[e] = color
+            used[u].add(color)
+            used[v].add(color)
+            fixed_at.update((u, v))
+            messages += fan[e]
+        live = clashed
+    return RunReport(rounds=rounds, comm_rounds=comm_rounds, messages_total=messages,
+                     seed=seed, outputs=tuple(colors), incomplete=bool(live))
 
 
 @dataclass(frozen=True)
@@ -254,16 +322,63 @@ def maximal_matching(g: Graph, seed: int = 0) -> Matching:
 
     The globally strongest eligible edge always matches, so progress is
     guaranteed; with high probability the run finishes within its logarithmic
-    round budget, else it is flagged incomplete.
+    round budget, else it is flagged incomplete.  The run is
+    ``_MatchingProgram`` on G, computed as a sweep.
     """
-    report = run_sync(_MatchingProgram(), g, seed,
-                      max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
+    report = _matching_sweep(g, seed, max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
     matched = set()
-    for v in range(g.n):
-        u = report.outputs[v]
+    for v, u in enumerate(report.outputs):
         if u is not None:
             matched.add(g.edge_id(v, u))
     return Matching(edges=frozenset(matched), report=report)
+
+
+def _matching_sweep(g: Graph, seed: int, max_rounds: int) -> RunReport:
+    """``run_sync(_MatchingProgram(), g, seed, max_rounds)``, report for
+    report, replayed over the vertices that still have a free neighbor.
+
+    The live vertices run keys, pick and resolve in lock-step, so a live
+    vertex's free neighbors are exactly its unmatched neighbors, and in a
+    pick round each of them has sent it a key.  A vertex draws one key per
+    free neighbor, in sorted order, from its own stream.
+
+    Every round after the first delivers a message to a live vertex: keys
+    and picks go to live vertices, and a component of free vertices that
+    stays live through a resolve round matched its strongest edge, so one of
+    its unmatched vertices hears "gone".
+    """
+    free = {v: set(a) for v, a in enumerate(g.adjacency) if a}
+    streams = {v: Stream(seed, v) for v in free}
+    partner: list[int | None] = [None] * g.n
+    live = g.n
+    rounds = messages = 0
+    while live and rounds < max_rounds:
+        phase = rounds % 3
+        if phase == 0:  # keys: a vertex left without free neighbors halts
+            free = {v: nbrs for v, nbrs in free.items() if nbrs}
+            keys = {}
+            for v, nbrs in free.items():
+                draw = streams[v].draw_u64
+                keys[v] = {u: draw() for u in sorted(nbrs)}
+                messages += len(nbrs)
+        elif phase == 1:  # pick: the strongest edge by (key xor, lo, hi)
+            pick = {v: max(nbrs, key=lambda u: (keys[v][u] ^ keys[u][v], min(u, v), max(u, v)))
+                    for v, nbrs in free.items()}
+            messages += len(free)
+        else:  # resolve: mutual picks match and tell their other free neighbors
+            matched = {v for v, u in pick.items() if pick[u] == v}
+            for v in matched:
+                partner[v] = pick[v]
+                others = free.pop(v)
+                others.discard(pick[v])
+                messages += len(others)
+                for u in others:
+                    if u not in matched:
+                        free[u].discard(v)
+        live = len(free)
+        rounds += 1
+    return RunReport(rounds=rounds, comm_rounds=max(rounds - 1, 0), messages_total=messages,
+                     seed=seed, outputs=tuple(partner), incomplete=live > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -309,17 +309,24 @@ def orient_forest(g: Graph) -> Orientation:
     return Orientation.from_targets(g, target)
 
 
-def line_graph(g: Graph) -> Graph:
-    """The line graph L(G): vertex j of L(G) is edge j of G.
-
-    Two L-vertices are adjacent iff the corresponding edges share an
-    endpoint, so deg_L(e) = deg(u)+deg(v)-2.  L(G) has sum_v C(deg v, 2)
-    edges, and more than MAX_LINE_GRAPH_EDGES is refused before any is built.
-    """
+def line_graph_size(g: Graph) -> int:
+    """The edge count of L(G), sum_v C(deg v, 2); more than
+    MAX_LINE_GRAPH_EDGES is refused."""
     size = sum(d * (d - 1) // 2 for d in map(len, g.adjacency))
     if size > MAX_LINE_GRAPH_EDGES:
         raise ValueError(f"line graph must have at most {MAX_LINE_GRAPH_EDGES} edges, "
                          f"got {size}")
+    return size
+
+
+def line_graph(g: Graph) -> Graph:
+    """The line graph L(G): vertex j of L(G) is edge j of G.
+
+    Two L-vertices are adjacent iff the corresponding edges share an
+    endpoint, so deg_L(e) = deg(u)+deg(v)-2.  An L(G) over the
+    ``line_graph_size`` cap is refused before any edge is built.
+    """
+    line_graph_size(g)
     l_edges = []
     for v in range(g.n):
         incident = [g.edge_id(v, u) for u in g.adjacency[v]]

@@ -269,6 +269,60 @@ class TestRun:
         assert verdict["counterexample"] == 3
         assert (doc["edges"][3]["u"], doc["edges"][3]["v"]) == (3, 4)
 
+    @staticmethod
+    def _dominating_without(monkeypatch, drop):
+        """Patch the dominating-edge entry point to leave out of its result
+        the dominating edges ``drop(res)`` names."""
+        real = cli.dominating_edge_coloring
+
+        def patched(g, seed=0, **params):
+            res = real(g, seed=seed, **params)
+            gone = drop(res)
+            domains = {e: d for e, d in res.domains.domains.items() if e not in gone}
+            return replace(res, dominating=res.dominating - gone,
+                           domains=replace(res.domains, domains=domains))
+
+        monkeypatch.setattr(cli, "dominating_edge_coloring", patched)
+
+    def test_dominating_classes_come_from_the_graph(self, tmp_path, monkeypatch):
+        """A run that reports one class fewer, and drops that class, still has
+        every ceil(sqrt(max_degree)) class checked, and the report fails."""
+        def last_class(res):
+            s = res.params["classes"]
+            res.params["classes"] = s - 1
+            return frozenset(e for e in res.dominating if res.class_of[e] == s)
+
+        self._dominating_without(monkeypatch, last_class)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "dominating-edge", "--gen", "gnp:n=256,p=0.02",
+                     "--out", str(out)]) == EXIT_VERDICT
+        doc = json.loads(out.read_text())
+        s = math.ceil(math.sqrt(doc["graph"]["max_degree"]))
+        assert s >= 2 and doc["params"]["classes"] == s - 1
+        verdicts = doc["metrics"]["verdicts"][1:]
+        assert [v["name"] for v in verdicts] == [f"class-{i}-matching" for i in range(1, s + 1)]
+        assert [v["ok"] for v in verdicts] == [True] * (s - 1) + [False]
+
+    def test_dominating_class_must_be_maximal_in_its_class(self, tmp_path, monkeypatch):
+        """Dropping one matched edge of class 1 leaves a class-1 edge that
+        could still be matched, and the class-1 verdict names it."""
+        def first_of_class_1(res):
+            return frozenset({min(e for e in res.dominating if res.class_of[e] == 1)})
+
+        self._dominating_without(monkeypatch, first_of_class_1)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "dominating-edge", "--gen", "gnp:n=256,p=0.02",
+                     "--out", str(out)]) == EXIT_VERDICT
+        doc = json.loads(out.read_text())
+        verdict = doc["metrics"]["verdicts"][1]
+        assert (verdict["name"], verdict["ok"]) == ("class-1-matching", False)
+        rows = doc["edges"]
+        bad = rows[verdict["counterexample"]]
+        covered = {x for row in rows if row["in_dominating"] and row["class"] == 1
+                   for x in (row["u"], row["v"])}
+        assert bad["class"] == 1 and not bad["in_dominating"]
+        assert bad["u"] not in covered and bad["v"] not in covered
+
     def test_graph_directory_config_error(self, tmp_path, capsys):
         code = main(["run", "--algo", "forest-id", "--graph", str(tmp_path)])
         assert code == EXIT_CONFIG

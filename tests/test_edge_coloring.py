@@ -5,6 +5,10 @@ import pytest
 
 from genlabel import GeneratorSpec, Graph, Stream, generate, line_graph
 from genlabel.edge_coloring import (
+    _MatchingProgram,
+    _ProposalColoringProgram,
+    _matching_sweep,
+    _proposal_sweep,
     dominating_edge_coloring,
     edge_class_of_color,
     edge_coloring_via_line_graph,
@@ -14,6 +18,7 @@ from genlabel.edge_coloring import (
     pair_palette,
     simple_edge_coloring,
 )
+from genlabel.runtime import run_sync
 from genlabel.verify import (
     check_edge_defect,
     check_edge_dominating,
@@ -180,6 +185,67 @@ class TestMaximalMatching:
             m = maximal_matching(g, seed=seed)
             assert not m.report.incomplete
             assert check_matching(g, m.edges).ok
+
+
+# G(n, p) over seeds, paths and cliques from n = 0, stars, isolated vertices,
+# and disjoint 2-edge paths: a path whose edges both fix sends "fixed" only to
+# halted edges, while the other paths go on
+SWEEP_GRAPHS = (
+    [generate(GeneratorSpec("gnp", 60, p=0.08, seed=s)) for s in range(6)]
+    + [generate(GeneratorSpec(kind, n)) for kind in ("path", "clique") for n in (0, 1, 2, 5, 9)]
+    + [Graph.from_edges(n, [(0, v) for v in range(1, n)]) for n in (3, 12)]
+    + [Graph.from_edges(9, [(1, 2), (4, 5), (5, 6)]),
+       Graph.from_edges(24, [(v, v + 1) for v in range(24) if v % 3 < 2])])
+
+
+class TestSweepsMatchPrograms:
+    """Each sweep gives the whole report its node program gives under
+    ``run_sync``: outputs, rounds, comm_rounds, messages and incomplete,
+    under the public entry point's budget and under budgets that run out."""
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS)
+    def test_proposal_coloring(self, g):
+        delta = max(g.max_degree, 1)
+        full = 24 * (int(math.log2(g.m + 2)) + 2)
+        lg = line_graph(g)
+        for palette in (2 * delta - 1, 3 * delta):
+            for seed in (0, 5):
+                reference = run_sync(_ProposalColoringProgram(palette), lg, seed, max_rounds=full)
+                assert simple_edge_coloring(g, palette_size=palette, seed=seed) == reference
+                for budget in (1, 2, 3, 5):
+                    assert _proposal_sweep(g, palette, seed, budget) == run_sync(
+                        _ProposalColoringProgram(palette), lg, seed, max_rounds=budget)
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS)
+    def test_matching(self, g):
+        full = 48 * (int(math.log2(g.n + 2)) + 2)
+        for seed in (0, 5):
+            reference = run_sync(_MatchingProgram(), g, seed, max_rounds=full)
+            match = maximal_matching(g, seed=seed)
+            assert match.report == reference
+            assert match.edges == {g.edge_id(v, u) for v, u in enumerate(reference.outputs)
+                                   if u is not None}
+            for budget in (1, 2, 3, 4, 5):
+                assert _matching_sweep(g, seed, budget) == run_sync(
+                    _MatchingProgram(), g, seed, max_rounds=budget)
+
+    def test_matching_key_ties(self, monkeypatch):
+        """Keys cut to two bits tie often, so picks fall to the (lo, hi) order."""
+        draw_u64 = Stream.draw_u64
+        monkeypatch.setattr(Stream, "draw_u64", lambda self: draw_u64(self) & 3)
+        for g in SWEEP_GRAPHS:
+            for seed in (0, 5):
+                assert _matching_sweep(g, seed, 10_000) == run_sync(
+                    _MatchingProgram(), g, seed, max_rounds=10_000)
+
+    def test_budgets_run_out(self):
+        """The short budgets above stop runs part way, with some edges done."""
+        g = SWEEP_GRAPHS[0]
+        coloring = _proposal_sweep(g, 3 * g.max_degree, 0, 3)
+        assert coloring.incomplete and None in coloring.outputs
+        assert any(c is not None for c in coloring.outputs)
+        matching = _matching_sweep(g, 0, 4)
+        assert matching.incomplete and any(u is not None for u in matching.outputs)
 
 
 class TestDominating:

@@ -21,7 +21,8 @@ LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s",
           "decomposition.flood_messages", "decomposition.phases", "graphs.line_graph_s",
           "coverfree.set_elements_calls", "verify.check_s",
           "vertex_coloring.random_coloring_s", "vertex_coloring.delta2_coloring_s",
-          "edge_coloring.line_graph_coloring_s")
+          "edge_coloring.line_graph_coloring_s", "edge_coloring.edge_coloring_s",
+          "edge_coloring.matching_s")
 
 CHILD = """
 import hashlib, json, sys, time
