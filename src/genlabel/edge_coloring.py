@@ -317,25 +317,24 @@ class _MatchingProgram(NodeProgram):
         return state[1]
 
 
-def maximal_matching(g: Graph, seed: int = 0) -> Matching:
-    """Distributed maximal matching by symmetric random proposals.
+def maximal_matching(g: Graph, edges, seed: int = 0) -> Matching:
+    """Distributed maximal matching by symmetric random proposals among the
+    G edges whose ids are in ``edges``, returned as G's edge ids.
 
     The globally strongest eligible edge always matches, so progress is
     guaranteed; with high probability the run finishes within its logarithmic
     round budget, else it is flagged incomplete.  The run is
-    ``_MatchingProgram`` on G, computed as a sweep.
+    ``_MatchingProgram`` on G's vertices and those edges, computed as a sweep.
     """
-    report = _matching_sweep(g, seed, max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
-    matched = set()
-    for v, u in enumerate(report.outputs):
-        if u is not None:
-            matched.add(g.edge_id(v, u))
-    return Matching(edges=frozenset(matched), report=report)
+    report = _matching_sweep(g, edges, seed, max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
+    return Matching(edges=frozenset(g.edge_id(v, u) for v, u in enumerate(report.outputs)
+                                    if u is not None), report=report)
 
 
-def _matching_sweep(g: Graph, seed: int, max_rounds: int) -> RunReport:
-    """``run_sync(_MatchingProgram(), g, seed, max_rounds)``, report for
-    report, replayed over the vertices that still have a free neighbor.
+def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int) -> RunReport:
+    """``run_sync(_MatchingProgram(), H, seed, max_rounds)``, report for
+    report, where H has G's vertices and the G edges whose ids are in
+    ``edges``; replayed over the vertices that still have a free neighbor.
 
     The live vertices run keys, pick and resolve in lock-step, so a live
     vertex's free neighbors are exactly its unmatched neighbors, and in a
@@ -347,7 +346,10 @@ def _matching_sweep(g: Graph, seed: int, max_rounds: int) -> RunReport:
     stays live through a resolve round matched its strongest edge, so one of
     its unmatched vertices hears "gone".
     """
-    free = {v: set(a) for v, a in enumerate(g.adjacency) if a}
+    free: dict[int, set[int]] = {}
+    for u, v in map(g.edges.__getitem__, edges):
+        free.setdefault(u, set()).add(v)
+        free.setdefault(v, set()).add(u)
     streams = {v: Stream(seed, v) for v in free}
     partner: list[int | None] = [None] * g.n
     live = g.n
@@ -420,9 +422,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     if not 2 <= t <= MAX_FACTOR:
         raise ValueError(f"t must be in [2, {MAX_FACTOR}], got {t}")
     delta = max(g.max_degree, 1)
-    s = math.isqrt(delta)
-    if s * s < delta:
-        s += 1
+    s = math.isqrt(delta - 1) + 1  # ceil(sqrt(delta))
     base_palette = c * delta
     width = -(-base_palette // s)
     coloring = simple_edge_coloring(g, palette_size=base_palette,
@@ -430,16 +430,12 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     class_of = tuple(
         edge_class_of_color(col, width) if col is not None else 0
         for col in coloring.outputs)
-    dominating: set[int] = set()
-    matching_reports = []
-    for cls in range(1, s + 1):
-        members = [e for e in range(g.m) if class_of[e] == cls]
-        sub = Graph.from_edges(g.n, [g.edges[e] for e in members])
-        match = maximal_matching(sub, seed=subseed(seed, 0x6D6D, cls))
-        matching_reports.append(match.report)
-        for se in match.edges:
-            u, v = sub.edges[se]
-            dominating.add(g.edge_id(u, v))
+    members: list[list[int]] = [[] for _ in range(s + 1)]  # class 0: uncolored
+    for e, cls in enumerate(class_of):
+        members[cls].append(e)
+    matches = [maximal_matching(g, members[cls], seed=subseed(seed, 0x6D6D, cls))
+               for cls in range(1, s + 1)]
+    dominating = frozenset().union(*(match.edges for match in matches))
     domains = {
         e: frozenset(range((class_of[e] - 1) * t, class_of[e] * t))
         for e in sorted(dominating)
@@ -447,7 +443,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     dom = LabelDomain(kind="edge", domains=domains, palette=t * s, stride=t)
     # the class matchings run side by side, after the coloring
     report = RunReport.sequential(
-        [coloring, RunReport.parallel(matching_reports, seed)], seed)
+        [coloring, RunReport.parallel([match.report for match in matches], seed)], seed)
     params = {
         "c": c,
         "t": t,
@@ -457,4 +453,4 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
         "round_accounting": "substitute-subroutine",
     }
     return DominatingColoredSet(
-        dominating=frozenset(dominating), class_of=class_of, domains=dom, report=report, params=params)
+        dominating=dominating, class_of=class_of, domains=dom, report=report, params=params)

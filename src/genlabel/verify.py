@@ -355,8 +355,9 @@ def check_edge_dominating(g: Graph, dominating) -> Verdict:
     return _ok(name)
 
 
-def check_matching(g: Graph, matching) -> Verdict:
-    """The edge set must be a matching and maximal w.r.t. edge addition."""
+def check_matching(g: Graph, matching, edges) -> Verdict:
+    """The G edge ids in ``matching`` must be a matching that no G edge with
+    its id in ``edges`` could be added to; edges are checked in the given order."""
     name = "maximal-matching"
     covered = [False] * g.n
     for e in sorted(matching):
@@ -364,7 +365,8 @@ def check_matching(g: Graph, matching) -> Verdict:
         if covered[u] or covered[v]:
             return _fail(name, "violated", f"edge {e} collides inside the matching", e)
         covered[u] = covered[v] = True
-    for e, (u, v) in enumerate(g.edges):
+    for e in edges:
+        u, v = g.edges[e]
         if not covered[u] and not covered[v]:
             return _fail(name, "violated", f"edge {e}=({u},{v}) could still be added", e)
     return _ok(name)

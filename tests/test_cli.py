@@ -1,4 +1,5 @@
 import enum
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genlabel
-from genlabel import LabelDomain, cli
+from genlabel import GeneratorSpec, Graph, LabelDomain, cli, generate, verify
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
@@ -21,6 +22,7 @@ from genlabel.cli import (
     EXIT_OK,
     EXIT_VERDICT,
     build_parser,
+    build_report,
     cmd_bench,
     cmd_run,
     main,
@@ -29,6 +31,7 @@ from genlabel.cli import (
     to_json,
 )
 from genlabel.cli import ConfigError
+from genlabel.decomposition import forest_decomposition
 from genlabel.graphs import MAX_LINE_GRAPH_EDGES
 from genlabel.labels import MAX_DELTA
 
@@ -267,6 +270,7 @@ class TestRun:
         verdict = doc["metrics"]["verdicts"][1]
         assert (verdict["name"], verdict["ok"]) == ("class-1-matching", False)
         assert verdict["counterexample"] == 3
+        assert verdict["detail"] == "edge 3 collides inside the matching"
         assert (doc["edges"][3]["u"], doc["edges"][3]["v"]) == (3, 4)
 
     @staticmethod
@@ -322,6 +326,63 @@ class TestRun:
                    for x in (row["u"], row["v"])}
         assert bad["class"] == 1 and not bad["in_dominating"]
         assert bad["u"] not in covered and bad["v"] not in covered
+        assert verdict["detail"] == (f"edge {verdict['counterexample']}=({bad['u']},{bad['v']}) "
+                                     "could still be added")
+
+    def test_dominating_edge_builds_no_graph(self, monkeypatch):
+        """The class matchings and their checks run on G's own edge ids."""
+        g = generate(GeneratorSpec("gnp", 256, p=0.02, seed=0))
+        from_edges = Graph.from_edges
+        builds = []
+
+        def counting(n, edges):
+            builds.append(n)
+            return from_edges(n, edges)
+
+        monkeypatch.setattr(Graph, "from_edges", staticmethod(counting))
+        doc = build_report("dominating-edge", g, {"kind": "test"}, 0, {})
+        assert doc["status"] == "ok" and doc["params"]["classes"] >= 2
+        assert builds == []
+
+    def test_forest_default_eps_is_the_entry_points(self, monkeypatch):
+        """forest-hpartition without eps bounds the labels by floor((2+eps)*a)
+        for forest_decomposition's own default eps."""
+        check = verify.check_forest_labeling
+        bounds = []
+
+        def spy(g, edge_labels, assigner, label_count):
+            bounds.append(label_count)
+            return check(g, edge_labels, assigner, label_count)
+
+        monkeypatch.setattr(verify, "check_forest_labeling", spy)
+        assert main(["run", "--algo", "forest-hpartition", "--gen", "forest-union:n=32,a=2",
+                     "--param", "a=2", "--out", os.devnull]) == EXIT_OK
+        eps = inspect.signature(forest_decomposition).parameters["eps"].default
+        assert bounds == [math.floor((2 + eps) * 2)]
+
+    @pytest.mark.parametrize("tag,gen,params", [
+        ("forest-id", "gnp:n=32,p=0.1", []),
+        ("forest-hpartition", "forest-union:n=32,a=2", ["--param", "a=2"]),
+        ("forest-hpartition", "forest-union:n=32,a=2", ["--param", "a=2", "--param", "eps=0.5"]),
+    ])
+    def test_forest_bound_comes_from_the_invocation(self, tmp_path, monkeypatch,
+                                                    tag, gen, params):
+        """A result that claims one forest more than the bound and uses it on
+        edge 0 fails the labeling check."""
+        real = cli.forest_decomposition
+
+        def inflated(g, **kwargs):
+            labeling, dom, report = real(g, **kwargs)
+            count = labeling.forest_count + 1
+            return replace(labeling, edge_labels=(count, *labeling.edge_labels[1:]),
+                           forest_count=count), dom, report
+
+        monkeypatch.setattr(cli, "forest_decomposition", inflated)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", tag, "--gen", gen, *params,
+                     "--out", str(out)]) == EXIT_VERDICT
+        verdict = json.loads(out.read_text())["metrics"]["verdicts"][0]
+        assert (verdict["ok"], verdict["counterexample"]) == (False, 0)
 
     def test_graph_directory_config_error(self, tmp_path, capsys):
         code = main(["run", "--algo", "forest-id", "--graph", str(tmp_path)])

@@ -167,14 +167,14 @@ class TestSimpleEdgeColoring:
 class TestMaximalMatching:
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        m = maximal_matching(g, seed=0)
+        m = maximal_matching(g, range(g.m), seed=0)
         assert m.edges == frozenset({0})
 
     def test_p3_one_of_two(self):
         g = generate(GeneratorSpec("path", 3))
         seen = set()
         for seed in range(10):
-            m = maximal_matching(g, seed=seed)
+            m = maximal_matching(g, range(g.m), seed=seed)
             assert len(m.edges) == 1
             seen |= m.edges
         assert seen == {0, 1}  # both outcomes occur across seeds
@@ -182,9 +182,9 @@ class TestMaximalMatching:
     def test_many_seeds_checker(self):
         g = generate(GeneratorSpec("gnp", 512, p=8 / 511, seed=9))
         for seed in range(20):
-            m = maximal_matching(g, seed=seed)
+            m = maximal_matching(g, range(g.m), seed=seed)
             assert not m.report.incomplete
-            assert check_matching(g, m.edges).ok
+            assert check_matching(g, m.edges, range(g.m)).ok
 
 
 # G(n, p) over seeds, paths and cliques from n = 0, stars, isolated vertices,
@@ -218,16 +218,21 @@ class TestSweepsMatchPrograms:
 
     @pytest.mark.parametrize("g", SWEEP_GRAPHS)
     def test_matching(self, g):
+        """Among all of G's edges or a subset, the sweep is the program on G's
+        vertices and those edges, and the matching is given in G's edge ids."""
         full = 48 * (int(math.log2(g.n + 2)) + 2)
-        for seed in (0, 5):
-            reference = run_sync(_MatchingProgram(), g, seed, max_rounds=full)
-            match = maximal_matching(g, seed=seed)
-            assert match.report == reference
-            assert match.edges == {g.edge_id(v, u) for v, u in enumerate(reference.outputs)
-                                   if u is not None}
-            for budget in (1, 2, 3, 4, 5):
-                assert _matching_sweep(g, seed, budget) == run_sync(
-                    _MatchingProgram(), g, seed, max_rounds=budget)
+        odd_lower = [e for e, (u, v) in enumerate(g.edges) if min(u, v) % 2]
+        for subset in (range(g.m), range(0, g.m, 2), odd_lower):
+            h = Graph.from_edges(g.n, [g.edges[e] for e in subset])
+            for seed in (0, 5):
+                reference = run_sync(_MatchingProgram(), h, seed, max_rounds=full)
+                match = maximal_matching(g, subset, seed=seed)
+                assert match.report == reference
+                assert match.edges == {g.edge_id(v, u) for v, u in enumerate(reference.outputs)
+                                       if u is not None}
+                for budget in (1, 2, 3, 4, 5):
+                    assert _matching_sweep(g, subset, seed, budget) == run_sync(
+                        _MatchingProgram(), h, seed, max_rounds=budget)
 
     def test_matching_key_ties(self, monkeypatch):
         """Keys cut to two bits tie often, so picks fall to the (lo, hi) order."""
@@ -235,7 +240,7 @@ class TestSweepsMatchPrograms:
         monkeypatch.setattr(Stream, "draw_u64", lambda self: draw_u64(self) & 3)
         for g in SWEEP_GRAPHS:
             for seed in (0, 5):
-                assert _matching_sweep(g, seed, 10_000) == run_sync(
+                assert _matching_sweep(g, range(g.m), seed, 10_000) == run_sync(
                     _MatchingProgram(), g, seed, max_rounds=10_000)
 
     def test_budgets_run_out(self):
@@ -244,7 +249,7 @@ class TestSweepsMatchPrograms:
         coloring = _proposal_sweep(g, 3 * g.max_degree, 0, 3)
         assert coloring.incomplete and None in coloring.outputs
         assert any(c is not None for c in coloring.outputs)
-        matching = _matching_sweep(g, 0, 4)
+        matching = _matching_sweep(g, range(g.m), 0, 4)
         assert matching.incomplete and any(u is not None for u in matching.outputs)
 
 
@@ -268,13 +273,9 @@ class TestDominating:
             assert not res.report.incomplete
             assert check_edge_dominating(g, res.dominating).ok
             for cls in range(1, res.params["classes"] + 1):
-                members = [e for e in res.dominating if res.class_of[e] == cls]
-                edges = [g.edges[e] for e in members]
-                sub = Graph.from_edges(g.n, edges)
-                covered = set()
-                for u, v in edges:
-                    assert u not in covered and v not in covered
-                    covered.update((u, v))
+                members = [e for e in range(g.m) if res.class_of[e] == cls]
+                matched = [e for e in members if e in res.dominating]
+                assert check_matching(g, matched, members).ok
 
     def test_joint_selection_proper(self):
         g = generate(GeneratorSpec("gnp", 256, p=5 / 255, seed=4))

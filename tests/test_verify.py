@@ -101,9 +101,20 @@ class TestEdgeCheckers:
         assert verdict.ok and worst == 4  # each K4 edge meets 4 others
 
     def test_matching_checker(self, path4):
-        assert check_matching(path4, [0, 2]).ok
-        assert not check_matching(path4, [0, 1]).ok  # shares vertex 1
-        assert not check_matching(path4, [0]).ok  # edge 2 still addable
+        assert check_matching(path4, [0, 2], range(path4.m)).ok
+        assert not check_matching(path4, [0, 1], range(path4.m)).ok  # shares vertex 1
+        assert not check_matching(path4, [0], range(path4.m)).ok  # edge 2 still addable
+
+    def test_matching_checker_on_a_subset(self, path4):
+        """Maximality is among ``edges`` only, and verdicts name G's edge ids."""
+        assert check_matching(path4, [0], [0, 1]).ok  # edge 2 is addable but outside
+        assert check_matching(path4, [1], [0, 2]).ok
+        verdict = check_matching(path4, [0], [0, 2])
+        assert not verdict.ok and verdict.counterexample == 2
+        assert verdict.detail.startswith("edge 2=(2,3) ")
+        verdict = check_matching(path4, [0, 1], [0, 1])
+        assert not verdict.ok and verdict.counterexample == 1
+        assert verdict.detail.startswith("edge 1 ")
 
 
 @st.composite
