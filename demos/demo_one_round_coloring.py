@@ -30,7 +30,7 @@ verdict = check_domains_disjoint(graph, result.domains)
 print("adjacent domains disjoint:", verdict.ok)
 
 # A neighbor can only guess the final color with probability 1/|domain|.
-m = metrics(result.domains, rounds=report.comm_rounds)
+m = metrics(result.domains)
 print(f"palette {m['problem_domain_size']}, solution domain >= {m['solution_domain_min']}, "
       f"contingency factor {m['contingency_factor']} "
       f"(~{m['contingency_factor_float']:.1f}, order max_degree)")

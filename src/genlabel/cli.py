@@ -55,6 +55,14 @@ class ConfigError(ValueError):
 # parameter parsing
 
 
+def _typed(kind: type, value: str, name: str):
+    """``kind(value)``, or a ConfigError saying that ``name=value`` is not one."""
+    try:
+        return kind(value)
+    except ValueError as exc:
+        raise ConfigError(f"{name}={value!r} is not a {kind.__name__}") from exc
+
+
 def parse_params(tag: str, pairs: list[str]) -> dict:
     if tag not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm tag {tag!r}; known: {sorted(ALGORITHMS)}")
@@ -67,11 +75,7 @@ def parse_params(tag: str, pairs: list[str]) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown parameter {key!r} for {tag}; "
                               f"allowed: {sorted(schema)}")
-        kind = schema[key][0]
-        try:
-            params[key] = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"parameter {key}={value!r} is not a {kind.__name__}") from exc
+        params[key] = _typed(schema[key][0], value, f"parameter {key}")
     for key, (_, required) in schema.items():
         if required and key not in params:
             raise ConfigError(f"{tag} requires parameter {key}")
@@ -94,7 +98,7 @@ def parse_gen_spec(text: str) -> GeneratorSpec:
             key, value = item.split("=", 1)
             if key not in _GEN_FIELDS:
                 raise ConfigError(f"unknown generator field {key!r}")
-            fields[key] = _GEN_FIELDS[key](value)
+            fields[key] = _typed(_GEN_FIELDS[key], value, f"generator field {key}")
     if "n" not in fields:
         raise ConfigError("generator spec requires n")
     spec = GeneratorSpec(kind=kind, **fields)
@@ -124,8 +128,7 @@ def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None 
            "failed": list(failed), **fields}
     if labels is not None:
         doc["labels"] = labels.to_document()
-        metrics = {**verify.metrics(labels, rounds=report.comm_rounds, verdicts=verdicts),
-                   **(metrics or {})}
+        metrics = {**verify.metrics(labels, verdicts=verdicts), **(metrics or {})}
     doc["metrics"] = metrics
     return doc
 
@@ -205,7 +208,6 @@ def _kuhn_edge(g: Graph, seed: int, params: dict):
         "problem_domain_size": res.params["palette_size"],
         "defect_bound": bound,
         "measured_defect": worst,
-        "rounds": res.report.comm_rounds,
         "verdicts": [verdict.to_document()],
     }
     return _body(res.params, res.report, [verdict], metrics=metrics,
@@ -224,18 +226,9 @@ def _dominating_edge(g: Graph, seed: int, params: dict):
         # class cls's dominating edges must be a maximal matching of its edges
         verdict = verify.check_matching(g, res.dominating.intersection(edges), edges)
         verdicts.append(replace(verdict, name=f"class-{cls}-matching"))
-    doc = _body(res.params, res.report, verdicts, res.domains,
-                dominating=sorted(res.dominating), class_of=list(res.class_of))
-    # this report's key order puts edges after labels and failed last
-    failed, metrics = doc.pop("failed"), doc.pop("metrics")
-    doc["edges"] = [
-        {"u": u, "v": v, "in_dominating": e in res.dominating,
-         "class": res.class_of[e],
-         "domain": sorted(res.domains.domains[e]) if e in res.dominating else []}
-        for e, (u, v) in enumerate(g.edges)
-    ]
-    doc.update(metrics=metrics, failed=failed)
-    return doc, verdicts
+    return _body(res.params, res.report, verdicts, res.domains,
+                 dominating=sorted(res.dominating), class_of=list(res.class_of),
+                 edges=[{"u": u, "v": v} for u, v in g.edges]), verdicts
 
 
 class Algorithm(NamedTuple):
@@ -319,7 +312,7 @@ def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> d
     status = ("incomplete" if incomplete
               else "ok" if all(v.ok for v in verdicts) else "verdict-failure")
     return {
-        "schema": "genlabel-report-v1",
+        "schema": "genlabel-report-v2",
         "algorithm": tag,
         "seed": seed,
         "graph": {
@@ -344,7 +337,7 @@ def report_to_csv(doc: dict) -> str:
     row = [
         doc["algorithm"], graph_desc, str(doc["seed"]), str(doc["graph"]["n"]),
         str(doc["graph"]["m"]), str(doc["graph"]["max_degree"]),
-        str(metrics.get("rounds", "")),
+        str(doc["run"]["comm_rounds"]),
         str(metrics.get("problem_domain_size", "")),
         str(metrics.get("solution_domain_min", "")),
         str(metrics.get("contingency_factor", "")),
@@ -355,9 +348,11 @@ def report_to_csv(doc: dict) -> str:
 
 
 def to_json(doc, newline: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` falls back to.  Exact ints and strs, the bulk of
-    a report, are written here; containers follow json's isinstance rules,
+    """``doc`` in the layout of ``json.dumps(doc, indent=2)``, except that a
+    non-empty list or tuple of exact ints (no bools) is written on one line,
+    as ``[1, 5, 9]``; parsed, it is ``json.dumps(doc)``.  Exact ints and strs,
+    the bulk of a report, are written here, without the pure-Python encoder
+    that ``indent`` falls back to; containers follow json's isinstance rules,
     and every other value goes through ``json.dumps``.  ``newline`` is the
     line break and indent of the enclosing level."""
     kind = type(doc)
@@ -374,7 +369,9 @@ def to_json(doc, newline: str = "\n") -> str:
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        items = [str(x) if type(x) is int else to_json(x, inner) for x in doc]
+        if list(map(type, doc)).count(int) == len(doc):  # exact ints: no bools
+            return repr(list(doc))
+        items = [to_json(x, inner) for x in doc]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return json.dumps(doc)
 
@@ -389,11 +386,17 @@ def _json_key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(payload)
-    else:
+def _emit(payload: str, out: str | None) -> bool:
+    """Write ``payload`` to ``out``, or stdout if None; False if ``out`` is unwritable."""
+    if not out:
         sys.stdout.write(payload)
+        return True
+    try:
+        Path(out).write_text(payload)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_run(args) -> int:
@@ -407,8 +410,9 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit((to_json(doc) + "\n") if args.format == "json"
-          else report_to_csv(doc), args.out)
+    if not _emit((to_json(doc) + "\n") if args.format == "json"
+                 else report_to_csv(doc), args.out):
+        return EXIT_CONFIG
     if doc["status"] == "incomplete":
         return EXIT_INCOMPLETE
     if doc["status"] == "verdict-failure":
@@ -473,7 +477,7 @@ def cmd_bench(args) -> int:
                                             "spec": gen, "seed": seed},
                                    seed, params)
                 metrics = doc.get("metrics", {})
-                worst_rounds = max(worst_rounds, metrics.get("rounds") or 0)
+                worst_rounds = max(worst_rounds, doc["run"]["comm_rounds"])
                 smin = metrics.get("solution_domain_min")
                 if smin is not None:
                     min_domain = smin if min_domain is None else min(min_domain, smin)
@@ -496,7 +500,8 @@ def cmd_bench(args) -> int:
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     for r in rows:
         lines.append("  ".join(str(r[i]).ljust(widths[i]) for i in range(len(header))))
-    _emit("\n".join(lines) + "\n", args.out)
+    if not _emit("\n".join(lines) + "\n", args.out):
+        return EXIT_CONFIG
     return EXIT_VERDICT if any_failure else EXIT_OK
 
 

@@ -204,7 +204,7 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clust
             else:
                 still_active.append(v)
         active = still_active
-    report = RunReport.sweep(phases_run * (radius_cap + 1), messages, seed,
+    report = RunReport.sweep(phases_run * (radius_cap + 1), messages,
                              incomplete=bool(active))
     return Clustering(clusters=tuple(clusters), phase_count=phases_run,
                       radius_cap=radius_cap, report=report)
@@ -242,7 +242,7 @@ def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
         domains[v] = frozenset(labels)
     dom = LabelDomain(kind="vertex", domains=domains, palette=c * stride,
                       stride=stride)
-    report = RunReport.parallel((r.report for r in runs), seed)
+    report = RunReport.parallel(r.report for r in runs)
     params = {
         "c": c,
         "radius_cap": cap,
@@ -400,7 +400,7 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 labels[e] = num
                 assigner[e] = v
                 messages += 1
-        report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, messages, seed)
+        report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, messages)
         labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
         return labeling, labeling.domain(), report
     raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")

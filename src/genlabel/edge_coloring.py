@@ -2,12 +2,12 @@
 coloring, and a generically colored edge dominating set.
 
 Line-graph runs reuse the vertex algorithms on L(G) verbatim (the draw budget
-k uses L(G)'s vertex count, i.e. the edge count of G); the higher-id endpoint
-of each edge is recorded as the node responsible for simulating it.  The
-dominating-set algorithm replaces its two cited subroutines with simple
-randomized ones, so its round count is reported but carries no bound.  They
-run as centralized sweeps over G; their node programs are the references the
-tests run under ``run_sync``.
+k uses L(G)'s vertex count, i.e. the edge count of G); each edge is simulated
+by its higher-id endpoint, which the edge itself names, so no result lists
+it.  The dominating-set algorithm replaces its two cited subroutines with
+simple randomized ones, so its round count is reported but carries no bound.
+They run as centralized sweeps over G; their node programs are the references
+the tests run under ``run_sync``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
                       stride=base.domains.stride)
     params = dict(base.params)
     params["variant"] = variant
-    params["owners"] = [max(u, v) for u, v in g.edges]
     return DomainsResult(domains=dom, report=base.report, params=params,
                          failed=base.failed)
 
@@ -263,7 +262,7 @@ def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int) -> RunRe
             messages += fan[e]
         live = clashed
     return RunReport(rounds=rounds, comm_rounds=comm_rounds, messages_total=messages,
-                     seed=seed, outputs=tuple(colors), incomplete=bool(live))
+                     outputs=tuple(colors), incomplete=bool(live))
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,7 @@ def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int) -> RunReport:
         live = len(free)
         rounds += 1
     return RunReport(rounds=rounds, comm_rounds=max(rounds - 1, 0), messages_total=messages,
-                     seed=seed, outputs=tuple(partner), incomplete=live > 0)
+                     outputs=tuple(partner), incomplete=live > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     dom = LabelDomain(kind="edge", domains=domains, palette=t * s, stride=t)
     # the class matchings run side by side, after the coloring
     report = RunReport.sequential(
-        [coloring, RunReport.parallel([match.report for match in matches], seed)], seed)
+        [coloring, RunReport.parallel(match.report for match in matches)])
     params = {
         "c": c,
         "t": t,

@@ -69,8 +69,8 @@ def load_edge_list(text: str) -> Graph:
 
     Each non-comment line is "u v".  An optional header "p <n> <m>" fixes the
     vertex count; without it, n = max id + 1.  Lines starting with '#' or 'c'
-    are comments.  Duplicate edges collapse; self-loops and out-of-range ids
-    are rejected with their line number.
+    are comments.  Duplicate edges collapse; self-loops, out-of-range ids and
+    a header below an earlier line's ids are rejected with their line number.
     """
     n_declared = None
     pairs: list[tuple[int, int]] = []
@@ -83,7 +83,13 @@ def load_edge_list(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 3:
                 raise EdgeListError(f"line {lineno}: malformed header {line!r}")
-            n_declared = int(parts[1])
+            try:
+                n_declared = int(parts[1])
+            except ValueError:
+                n_declared = None
+            if n_declared is None or n_declared <= max_id:
+                raise EdgeListError(f"line {lineno}: header needs an integer n >= {max_id + 1}, "
+                                    f"got {parts[1]!r}")
             continue
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {line!r}")

@@ -60,33 +60,32 @@ class RunReport:
     rounds: int
     comm_rounds: int
     messages_total: int
-    seed: int
     outputs: tuple = ()
     incomplete: bool = False
 
     @staticmethod
-    def sweep(rounds: int, messages: int, seed: int, incomplete: bool = False) -> "RunReport":
+    def sweep(rounds: int, messages: int, incomplete: bool = False) -> "RunReport":
         """A centralized sweep standing for ``rounds`` synchronous rounds, every
         one of them counted as a communication round."""
         return RunReport(rounds=rounds, comm_rounds=rounds, messages_total=messages,
-                         seed=seed, incomplete=incomplete)
+                         incomplete=incomplete)
 
     @staticmethod
-    def parallel(reports, seed: int) -> "RunReport":
+    def parallel(reports) -> "RunReport":
         """Runs executed side by side: as many rounds as the longest."""
-        return RunReport._joined(list(reports), seed, max)
+        return RunReport._joined(list(reports), max)
 
     @staticmethod
-    def sequential(reports, seed: int) -> "RunReport":
+    def sequential(reports) -> "RunReport":
         """Runs executed one after another: their rounds add up."""
-        return RunReport._joined(list(reports), seed, sum)
+        return RunReport._joined(list(reports), sum)
 
     @staticmethod
-    def _joined(reports: list, seed: int, join) -> "RunReport":
+    def _joined(reports: list, join) -> "RunReport":
         """Rounds joined by ``join``; messages add up; incomplete if any run is."""
         return RunReport(rounds=join([0] + [r.rounds for r in reports]),
                          comm_rounds=join([0] + [r.comm_rounds for r in reports]),
-                         messages_total=sum(r.messages_total for r in reports), seed=seed,
+                         messages_total=sum(r.messages_total for r in reports),
                          incomplete=any(r.incomplete for r in reports))
 
     def to_document(self) -> dict:
@@ -95,7 +94,6 @@ class RunReport:
             "rounds": self.rounds,
             "comm_rounds": self.comm_rounds,
             "messages_total": self.messages_total,
-            "seed": self.seed,
             "incomplete": self.incomplete,
         }
 
@@ -152,4 +150,4 @@ def _run_rounds(program: NodeProgram, g: Graph, master_seed: int,
         comm_rounds += int(delivered)
     outputs = tuple(program.output(ctxs[v], states[v]) for v in range(n))
     return RunReport(rounds=rounds, comm_rounds=comm_rounds, messages_total=messages,
-                     outputs=outputs, seed=master_seed, incomplete=live > 0)
+                     outputs=outputs, incomplete=live > 0)

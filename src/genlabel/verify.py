@@ -372,10 +372,10 @@ def check_matching(g: Graph, matching, edges) -> Verdict:
     return _ok(name)
 
 
-def metrics(dom: LabelDomain, rounds: int | None = None, verdicts=()) -> dict:
-    """The metrics document of ``dom``: the problem domain (its palette), the
-    solution domain sizes, and their ratio, the contingency factor, as "p/q"
-    and as a float (0 when the smallest is empty or there is no entity)."""
+def metrics(dom: LabelDomain, verdicts=()) -> dict:
+    """The metrics document of ``dom`` and ``verdicts``: the problem domain (its
+    palette), the solution domain sizes, and their ratio, the contingency factor,
+    as "p/q" and as a float (0 when the smallest is empty or there is no entity)."""
     sizes = dom.sizes()
     smallest = min(sizes, default=0)
     cf = Fraction(dom.palette, smallest) if smallest else Fraction(0)
@@ -386,6 +386,5 @@ def metrics(dom: LabelDomain, rounds: int | None = None, verdicts=()) -> dict:
         "solution_domain_max": max(sizes, default=0),
         "contingency_factor": f"{cf.numerator}/{cf.denominator}",
         "contingency_factor_float": float(cf),
-        "rounds": rounds,
         "verdicts": [v.to_document() for v in verdicts],
     }

@@ -215,7 +215,7 @@ def _draw_prune_sweep(n: int, seed: int, k: int, value_range: int, receivers,
     outputs = tuple(frozenset(islice(kept, size)) for size in keep.sum(axis=1).tolist())
     rounds = 0 if n == 0 else 1 if quiet.issuperset(range(n)) else 2
     return RunReport(rounds=rounds, comm_rounds=int(targets.size > 0),
-                     messages_total=messages, seed=seed, outputs=outputs)
+                     messages_total=messages, outputs=outputs)
 
 
 def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,

@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genlabel
@@ -55,6 +55,15 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_gen_spec("gnp:n=8,q=0.1")
 
+    @pytest.mark.parametrize("spec,message", [
+        ("gnp:n=x,p=0.1", "generator field n='x' is not a int"),
+        ("gnp:n=8,p=y", "generator field p='y' is not a float"),
+    ])
+    def test_gen_spec_field_names_its_type(self, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            parse_gen_spec(spec)
+        assert str(exc.value) == message
+
     def test_params_schema(self):
         assert parse_params("defective-coloring", ["p=3"]) == {"p": 3}
         with pytest.raises(ConfigError, match="unknown parameter"):
@@ -75,36 +84,67 @@ Pair = namedtuple("Pair", "left right")
 
 # Every kind of value json writes: ints and int subclasses, bools, None,
 # floats with their special values, and strings with non-ASCII characters,
-# control characters and lone surrogates.
+# control characters and lone surrogates; and non-empty lists of ints, which
+# the report layout writes on one line.
 SCALARS = (st.integers() | st.booleans() | st.none() | st.sampled_from(list(Level))
            | st.floats() | st.sampled_from([-0.0, 1e16, math.nan, math.inf, -math.inf])
            | st.text(st.characters(exclude_categories=()))
            | st.sampled_from(["\ud800", "a\udfffb", "\x00\x1f\x7f", "\u00e9\u2713\U0001f600"]))
 KEYS = (st.text(st.characters(exclude_categories=())) | st.integers() | st.booleans()
         | st.none() | st.floats() | st.sampled_from(list(Level)))
+INT_LISTS = st.lists(st.integers(), min_size=1, max_size=6)
 DOCUMENTS = st.recursive(
-    SCALARS,
+    SCALARS | INT_LISTS,
     lambda inner: (st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
                    | st.builds(Pair, inner, inner)
                    | st.dictionaries(KEYS, inner, max_size=6)),
     max_leaves=40)
 
 
+def reference_json(doc, indent: str = "") -> str:
+    """The report layout, written the simple way: json.dumps(doc, indent=2),
+    except that a non-empty list or tuple of exact ints is one line."""
+    inner = indent + "  "
+    if isinstance(doc, dict) and doc:
+        items = [json.dumps(key if isinstance(key, str) else json.dumps(key))
+                 + ": " + reference_json(value, inner) for key, value in doc.items()]
+    elif isinstance(doc, (list, tuple)) and doc:
+        if all(type(x) is int for x in doc):
+            return json.dumps(list(doc))
+        items = [reference_json(x, inner) for x in doc]
+    else:
+        return json.dumps(doc)
+    brackets = "{}" if isinstance(doc, dict) else "[]"
+    return brackets[0] + "\n" + ",\n".join(inner + item for item in items) \
+        + "\n" + indent + brackets[1]
+
+
 class TestToJson:
-    """The report emitter against its reference, json.dumps(doc, indent=2)."""
+    """The report emitter against its reference, reference_json."""
 
     @given(DOCUMENTS)
     @settings(max_examples=400, deadline=None)
-    def test_equals_json_dumps(self, doc):
-        assert to_json(doc) == json.dumps(doc, indent=2)
+    def test_equals_reference(self, doc):
+        assert to_json(doc) == reference_json(doc)
+
+    @given(DOCUMENTS)
+    @settings(max_examples=400, deadline=None)
+    def test_layout_never_changes_content(self, doc):
+        text = json.dumps(doc)
+        assume("NaN" not in text)  # NaN != NaN, so a NaN document never compares equal
+        assert json.loads(to_json(doc)) == json.loads(text)
 
     @pytest.mark.parametrize("doc", [
         [1, True], [None, 2, False], {}, [], [[], {}], {"a": {"b": [[{}]]}},
         {1: "x", True: 2.5, None: -0.0, 1.5: [1e16]}, (1, (2,)), Pair(3, [4]),
         {"n": Level.HIGH, Level.LOW: "k"}, [math.nan, math.inf, -math.inf],
+        [Level.LOW, 2], {"d": {"0": [1, 5, 9], "1": []}}, [[-1], (2, 3)],
     ], ids=repr)
     def test_named_cases(self, doc):
-        assert to_json(doc) == json.dumps(doc, indent=2)
+        assert to_json(doc) == reference_json(doc)
+
+    def test_int_list_is_one_line(self):
+        assert to_json({"a": [1, 5, 9], "b": (7,)}) == '{\n  "a": [1, 5, 9],\n  "b": [7]\n}'
 
     def test_bool_in_int_list_is_true(self):
         assert to_json([1, True]) == "[\n  1,\n  true\n]"
@@ -160,8 +200,11 @@ class TestRun:
         assert main(["run", "--algo", "dominating-edge", "--gen",
                      "gnp:n=32,p=0.1", "--seed", "2", "--out", str(out)]) == EXIT_OK
         doc = json.loads(out.read_text())
-        row = doc["edges"][0]
-        assert {"u", "v", "in_dominating", "class", "domain"} <= set(row)
+        g = generate(GeneratorSpec("gnp", 32, p=0.1, seed=2))
+        assert [(row["u"], row["v"]) for row in doc["edges"]] == list(g.edges)
+        assert len(doc["class_of"]) == g.m
+        assert {doc["class_of"][e] for e in doc["dominating"]} <= set(
+            range(1, doc["params"]["classes"] + 1))
 
     def test_p_exceeding_delta_rejected(self):
         code = main(["run", "--algo", "defective-coloring",
@@ -320,11 +363,11 @@ class TestRun:
         doc = json.loads(out.read_text())
         verdict = doc["metrics"]["verdicts"][1]
         assert (verdict["name"], verdict["ok"]) == ("class-1-matching", False)
-        rows = doc["edges"]
-        bad = rows[verdict["counterexample"]]
-        covered = {x for row in rows if row["in_dominating"] and row["class"] == 1
-                   for x in (row["u"], row["v"])}
-        assert bad["class"] == 1 and not bad["in_dominating"]
+        rows, class_of, e = doc["edges"], doc["class_of"], verdict["counterexample"]
+        bad = rows[e]
+        covered = {x for d in doc["dominating"] if class_of[d] == 1
+                   for x in (rows[d]["u"], rows[d]["v"])}
+        assert class_of[e] == 1 and e not in doc["dominating"]
         assert bad["u"] not in covered and bad["v"] not in covered
         assert verdict["detail"] == (f"edge {verdict['counterexample']}=({bad['u']},{bad['v']}) "
                                      "could still be added")
@@ -541,7 +584,8 @@ OPTIONAL_PARAMS = [
 SMALL_GEN = {"cv3-expansion": "random-tree:n=32",
              "arboricity-coloring": "forest-union:n=32,a=2",
              "forest-hpartition": "forest-union:n=32,a=2"}
-SMALL_REQUIRED = {**REQUIRED, "arboricity-coloring": {"a": 2}, "forest-hpartition": {"a": 2}}
+SMALL_REQUIRED = {**REQUIRED, "arboricity-coloring": {"a": 2}, "forest-hpartition": {"a": 2},
+                  "kuhn-edge": {"i": 1}}
 
 
 class TestOptionalParams:
@@ -565,6 +609,53 @@ class TestOptionalParams:
                      "--param", "max_rounds=5"])
         assert code == EXIT_CONFIG
         assert "unknown parameter 'max_rounds'" in capsys.readouterr().err
+
+
+class TestReportV2:
+    """Every report states each fact once, in _body's key order, and writes
+    each integer list on one line."""
+
+    @pytest.mark.parametrize("tag", sorted(ALGORITHMS))
+    def test_each_fact_once(self, tag, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["run", "--algo", tag, "--gen", SMALL_GEN.get(tag, "gnp:n=32,p=0.1"),
+                "--out", str(out),
+                *[f"--param={k}={v}" for k, v in SMALL_REQUIRED.get(tag, {}).items()]]
+        assert main(argv) == EXIT_OK
+        text = out.read_text()
+        doc = json.loads(text)
+        assert text == reference_json(doc) + "\n"
+        assert doc["schema"] == "genlabel-report-v2"
+        assert list(doc["run"]) == ["rounds", "comm_rounds", "messages_total", "incomplete"]
+        assert "rounds" not in doc["metrics"] and "owners" not in doc["params"]
+        keys = list(doc)
+        assert keys[:7] == ["schema", "algorithm", "seed", "graph", "params", "run", "failed"]
+        assert keys[-2:] == ["metrics", "status"]
+        fields = keys[7:-2]
+        assert "labels" not in fields[:-1]
+        if tag == "dominating-edge":
+            assert fields == ["dominating", "class_of", "edges", "labels"]
+            assert all(set(row) == {"u", "v"} for row in doc["edges"])
+            assert doc["edges"]
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a configuration error, stated in
+    one line, for run and for bench alike."""
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_config_error(self, command, where, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.txt" if where == "missing-directory" else tmp_path
+        if command == "run":
+            argv = ["run", "--algo", "random-coloring", "--gen", "path:n=4"]
+        else:
+            suite = tmp_path / "s.json"
+            suite.write_text(json.dumps([{"algo": "random-coloring", "gen": "path:n=4"}]))
+            argv = ["bench", "--suite", str(suite)]
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
 
 class TestBench:

@@ -24,175 +24,175 @@ from genlabel.cli import main
 # (command, exit code, sha256 of the written report or table)
 CASES = [
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format json",
-     0, "b77373af51c734ef0deffe6bd9da291fcd307430c5927340d1f1fef9088dff88"),
+     0, "d2cda0e27844fd1033f2d55bd051435aa909af74fb6bf493852c2fb7b2f63181"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format csv",
      0, "e599a630c0e8530a9ca393cb42a147f1c61c76028fb965fdc4071ffee5f50058"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 1 --format json",
-     0, "1cf7f604e897736202f9005c62ad5151c88ebd40f9d8356d8e258befe32e1994"),
+     0, "ac3bbe5d5384dc103b35215a32cd9c77909aefb4b91c514af23784f762bdb252"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 1 --format csv",
      0, "c35661d98bb3b5931fcac052dbd41174a985d2dc4cc51a3efcebe2ad807f88bd"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "1c615d475fc79e9162174a2dc18aa9f8af3464a2ec668ccc7f94c19c0dbb6805"),
+     0, "d3cee45c544353a6f97d16ced610a70ba04ec3ed5a3d788a6c1dd51ff8c1586c"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "e079c0434bf84df9b41617dc8323a61e9343cf4d8a96e40222ec93b5f6fb1922"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "a7e75ef70fc597b169b761fba0de7f2060bc268118257fccc0ec3a35f7a9579a"),
+     0, "7e09cd5b0255f1e9192798fc61c18f5e82e9d1e72c01735f6c11a04cb76999b8"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "ed569067e0a7308a7e58f2781445bfbdf85c879f576226492adb1821fcbd21a3"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "3d49bd88019f13e8b5c92927c2c6e16fa71afd690e49a841eff203b4a78605a5"),
+     0, "468195d4176caf6214c6c81b3aba22eefa7f5f7e8b33c483ab8c333c6098a352"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "ba6bb5183841e0c74c38847837ec28f205359e437c6a317459b1bcb780d1ccef"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "2bbd66f3e1425258b63c11b440fc8a9cbeee0b8ab124ad77cded3fc3638417c8"),
+     0, "d19449fd274fc72947214ace2e9c38b6d4dc95708c03b1d117a157a51f014fb7"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "350365fa5c0a3b2f7152c0be4ad4543630e2d2f98b5ff379fc8f49da5116aafb"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 0 --format json --param p=2",
-     0, "2e6bc6189d5ce02b5bb8c1d648a930afeb70e0037e0db7f092df64571702d372"),
+     0, "38c5dc597e58dc5f78983218df0b8d94658c063324f17a81ea0526a310b1589d"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 0 --format csv --param p=2",
      0, "00800d093ff36671419a10e59a6429d363cc43540dd8792d384d13630fe2cbf0"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 1 --format json --param p=2",
-     0, "c6c2057278eeab963d104d96b722834416cd57acb682d992ecfa8197c2451b3d"),
+     0, "c55ea3c15910a4a502867d98e9ce34448576a5d3aa833bccc8f2691a47d7ee4f"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 1 --format csv --param p=2",
      0, "65a7bd8cef5589642069364d9e2b9a133a28d71bcca6347d3e9f0da674d7fe5f"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 0 --format json --param a=2",
-     0, "4eb47fb60279c6988795da1b7887a47fc93be9668865324b332b54aef74aa7bf"),
+     0, "f1655fe5f123a9d7042034034e0a1195e1621ec2199aeca52ba5253decdc30f1"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 0 --format csv --param a=2",
      0, "cb76e09936c492e2d4da8467ac8eaddcd8767533955cd80c5acf00310202ce1d"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 1 --format json --param a=2",
-     0, "9b7263e2361c70b1034a57084572d439205c208452695d10e95ba4e739a38d2f"),
+     0, "9907f9e8b80f166df4616a6e8e663667e4fe19729c0a76a84f76ea7691ea59f6"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 1 --format csv --param a=2",
      0, "b1b4b3692ea5d90d59244940f9a3f8e127bcd9f999d98f70696a0dab97979040"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 0 --format json --param c=2",
-     0, "73d45d48c453c3649695c63d1595f0ba11f4d10a116b19fe770e6d029fdc6bc6"),
+     0, "5cf25c5719e3de5417eafe0086fcacc88ca2b5d2f1d59b5c5f71da40ff4ffa80"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 0 --format csv --param c=2",
      0, "2f80cfddafea0dce3f86b6995844528eacba13be6c6cc625d6de012fe8e9272d"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format json --param c=2",
-     0, "4a2f977788dacc42af04445801af634e376cb097ae1dad3220c6751842adc99f"),
+     0, "415e4ff6b3b6c65c649f15585bd8bd02c6ed4590c9fe0520266517760f4404c2"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format csv --param c=2",
      0, "005d24944e0b33790cfbc0ae71ab08f5f1b1c520f2524aaeb22688392ae815e5"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "0dfc368fa14ca6c6d819d7deafc2bd28be0dc100cc53b73e57f01fc919bd72ec"),
+     0, "fe41156d124bc06198aade19c0b2724bdbfb8365caf83720fa6b7961119c2962"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "3860b176ac986fd0420a96197173c7a6013eaab9965aaf11f471ee43697f12c1"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "b9f38ffb29d280286a45a1ec5fe319fc26d2097101d3f9ac00ea9e27947a4c0f"),
+     0, "573cb3a8d62ed9bc0d3885aa72e31a491d5010e2a021cbf8ff6c01e41f253d26"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "00333736195a715bf87656883db68c62c0d88a3ab02f8e9b3e6f0684cce5c5f7"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 0 --format json --param a=2",
-     0, "6696768d636a32bdb4b6ad0644d673d96883c72097b51fbbb6c7f5f107239c41"),
+     0, "0da69ea326c844c22fea073668da754da13de9da4bb3f1bb73d9ac1a8d2c170d"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 0 --format csv --param a=2",
      0, "507fa655a049cf4dd62989fb4f2b79017e7b06f9dd3a8680d20177d384ef2ace"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 1 --format json --param a=2",
-     0, "9a108de38689778f5e7575359e1c8fbc3f91fa2e593cc96601679705c4cf2b11"),
+     0, "ed7967d8efba0a95f32801f4bcc33951b2079a600a4612f63543c963cf4fbade"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 1 --format csv --param a=2",
      0, "75140705e094ff69527cefab12143e5420b33cdb77fca52456af75a49776537b"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 0 --format json",
-     0, "4cc9c5b0a45c693573cfeb2683e180b3ad573c7023180f3f8b39404be59d1b8e"),
+     0, "c3a0223a161723ff0b88bec1f9cf32558c24507bc832afc7397e644d82d83a15"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 0 --format csv",
      0, "48e45d5c742ebb767689d792b17bc43797878b82578ee3c258886b527ce0d201"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 1 --format json",
-     0, "3301dd92be01af4fac23ba736a79de2ff38a9d42e96d5c9ad0ece444612912d2"),
+     0, "b6d0839d2af257662d90c45ce8336398d3b8bdd2eb4304bd937b46a03a711f0f"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 1 --format csv",
      0, "8ed0122cb5e63705d07d0a20876e045a98180b0ce35ff7ed10d8d9379566db00"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 0 --format json",
-     0, "77ab1f0690fc5f97e0bd8cba468655bb304849e17b1a5a11211a3718a1203d49"),
+     0, "cd9440a73717bc3f3ec1200fb30829c46ad0ac2a0c5699d52a7721d42f5bd385"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 0 --format csv",
      0, "233031511e0be0c336a9c8b6732a8695c27eed64d9d61c4d194cb244a3fe42ee"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 1 --format json",
-     0, "f6fccd37602bf9ff9dbab03a8e158b6f010650bbe9078d1103ef0a26f72893f0"),
+     0, "a9c7b6ad3a0d32afdd2ae72cbc16dee05a439843f19b1fc252b511b392aa1935"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 1 --format csv",
      0, "4b9e219a5b1e0276e395a4b6a62d5b959efbd3774cdcd3657a4e3ccb65458288"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 0 --format json --param i=2",
-     0, "95bbcf08b22bc1f10b004845b9d9d296ecd894363ccd18cd49584d12e8e8245a"),
+     0, "0580d7b8934597211d9eb41f4778b8cb2651971da508169d1721d50ac5fe312c"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 0 --format csv --param i=2",
      0, "1aeb9a111b04cdad7db10ac92d6643d172e3751184c674ee52d3c31484c8c270"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 1 --format json --param i=2",
-     0, "b616a93d802004eb030a6c785bd60cf7954a818d24539d1025511462d6cdd7a3"),
+     0, "c82d319935bc1c00d8a50c16f93dccb592bbc82c6311fab20fe11bcc312755b6"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 1 --format csv --param i=2",
      0, "e4ed0de23051e527517639b43d10161b1c07871ad394cebfe94edc3e060022d5"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "0666a3c888b9b1634a58b6974926b79e5a51214f86ede30a3b85068e987067e0"),
+     0, "aa266a60d5f132a7ba0d4e99ab80e73ecb9eb6774157e4a7c08ed2d78922245c"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "3e60467c53555a14cba84700f261b758d299c679b64340f2543250e9e775a6ec"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "d5215dbd761c16dee7ca91b948655f3c887192faf3dedcf69afb0464b1c8efd1"),
+     0, "2dc37ee406b229d3ec4802405d92a7bca3195ad5bd076124b0366d633ce56de4"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "008497ac730cb36844b2a1070e1551a07afa1500cda402fa5c3854d71f52c1e3"),
     ("bench",
      0, "074cd580d29a918e068e1e81f5d2b1c2311fbc737260e76eb8c51eaf844073c4"),
     ("run --algo cv3-expansion --gen path:n=0 --seed 0",
-     0, "64d581435044c4204110a9302c66e8b30dc152b4b770d37b45f0522c36be7e4f"),
+     0, "56fb09afd72a54d475062e42797119cd19177ad97a08707f710d22b14f443892"),
     ("run --algo random-coloring --gen path:n=0 --seed 0",
-     0, "7c5ff214cd01b932baeca760248bd8707b855d92f1923b5f5f1af40771f007e3"),
+     0, "90a35ea5196ac84c74cf6e616d9d58ea29ddb17f5446f47a398165ae0a41b5cb"),
     ("run --algo delta2-coloring --gen path:n=0 --seed 0",
-     0, "20cb2c628bd86699c23dd3879da8803175164f5345323adf094f7220e91bf162"),
+     0, "133658b019a05791b48fe32edaa9d8135ed91ed831e44b37bc657ad404d15764"),
     ("run --algo defective-coloring --gen path:n=0 --seed 0 --param p=1",
-     0, "98c74d445d369f4f006ff844b1ae4888c08f91281998ed8580516c46a14a7d3c"),
+     0, "25adcbcfa137cb392f2f544f9b61cd1027a4bfda890501212051dc674cdedfbb"),
     ("run --algo arboricity-coloring --gen path:n=0 --seed 0 --param a=2",
-     0, "7610507394b1b4a8300127e3f961657df3ff46129ceffd6468bd7effbf40cd3e"),
+     0, "d481a62b2f9c1d40b9cef57714e810278b1c9e697be1864b9b7862007695ebca"),
     ("run --algo network-decomposition --gen path:n=0 --seed 0",
-     0, "d1035c34fb6473ceace9920d7baa3760bb1542399b6861fb478fb1ef4f89ed1f"),
+     0, "193bdbedadbadf7a9cb4e1e50d43a3812b2dfcc8d8f42d9d956d637f2ddd31e9"),
     ("run --algo forest-id --gen path:n=0 --seed 0",
-     0, "fba80dbd8a6ab168c3098a7a6d3a3138e9a626440b367d07c46e88f1709b47ac"),
+     0, "aa8194ffbabdbf6be7ffccbc8b71e0c0b8d406e8319e03b6a85d635935d7c6c5"),
     ("run --algo forest-hpartition --gen path:n=0 --seed 0 --param a=2",
-     0, "71ade98971ba74c59558c8eadd9656166a9df25d7d8f5ecaa461af0446cb6a91"),
+     0, "7077ca2e91188c76e2751fe3969a8ca03f2126a720b42443e82d3e69539fd8ad"),
     ("run --algo edge-random --gen path:n=0 --seed 0",
-     0, "d614136caebec2948682a858adc043e2ce0f9bda022f42171bb994d437f08400"),
+     0, "8e5ba0e7dd9bfdb949908e668271903c89cc9e6ea7886472d1afb60168700c25"),
     ("run --algo edge-delta2 --gen path:n=0 --seed 0",
-     0, "fe6043543d4e79b40cbca285616ab0d21b17c61f19e2bae0330637bf3415c665"),
+     0, "1db75615fa9cd42f34997f5b3a89a01c8d8ee8f5125dd967bd2f9cf54f7f3f15"),
     ("run --algo kuhn-edge --gen path:n=0 --seed 0 --param i=1",
-     0, "bea7bab7c907f1ed0eca6ae1ef9221fe3b965711d30d28f2dfc4914c743b8a36"),
+     0, "6c2e4728b17841e36f532d4a0279fa87dfd7763e35f2c30908dcb69201e81019"),
     ("run --algo dominating-edge --gen path:n=0 --seed 0",
-     0, "421c214a052618b3ffa9bcfa2322b1f7dd37b6cf41c55d8f11778c9e9c86ddaf"),
+     0, "cca9b232313434fdea69cc8d1ab45867249df9e1f05bc3a7ca0be23416b3913d"),
     ("run --algo cv3-expansion --gen path:n=1 --seed 0",
-     0, "8d356aaf3d3a95c6cc8c4a23642f508218e70aac553327455a865ac4006c6610"),
+     0, "d3c872e63b9cf01a0e8ec494f8fe6854529e64967afc37c8b529c92a175831cc"),
     ("run --algo random-coloring --gen path:n=1 --seed 0",
-     0, "adf27b03a71da7725269b0d1b2f2271b16a8ae7511d9ac830c00f5fdc43f29c5"),
+     0, "9c4099c034c45d2ab52ce2a36f98de939f57ea88704994c28a002df42cea4884"),
     ("run --algo delta2-coloring --gen path:n=1 --seed 0",
-     0, "8aa3ddb02587f8d874760ec032f7d713948eb09ce7fc55e370fd3eb3453b7075"),
+     0, "b5196b20959a69cd0b64dca123d9499bedfc1af57f2cb06b86cf94751311c094"),
     ("run --algo defective-coloring --gen path:n=1 --seed 0 --param p=1",
-     0, "2abece6e83ccbba3307d01fdf2decc9a9fb2408ff6a9480b519e00d47a3d4637"),
+     0, "650e95a962e367e3a45dac461fd03da823c6a9cc92cf771dcf8f6e17313d312e"),
     ("run --algo arboricity-coloring --gen path:n=1 --seed 0 --param a=2",
-     0, "4f80c245877acbe107190a9074fac48e05cbba898d0233770d7caa3f905e1ecc"),
+     0, "e411478eb7d19c32e451814c606405b6f7addfa12ae12fc47f978fec77af02fa"),
     ("run --algo network-decomposition --gen path:n=1 --seed 0",
-     0, "a9976fd54e4d0417a0318138325f0f8a0a63fc2b661c607b00b6e259684535c9"),
+     0, "ad53928958db0f672eb4caa72fe7b62aaece6d3c8c6d8696096aa538f3855ad2"),
     ("run --algo forest-id --gen path:n=1 --seed 0",
-     0, "84a6a145183921f9285df044bd50b892745f31b211ee22699c4bfbf02c7ccb4a"),
+     0, "5e974759fdd40f00fd08c596566b8542f83767f6b545f3e209518ea01cf8c67a"),
     ("run --algo forest-hpartition --gen path:n=1 --seed 0 --param a=2",
-     0, "2ebb4ae6e9ef2051726d572ede0e44536c79b6df583800ea1c571fc3555afd9b"),
+     0, "c44c7fa04aa7fcb98ab586896ddf10993d32ab2885273863392ca5db74b714ea"),
     ("run --algo edge-random --gen path:n=1 --seed 0",
-     0, "22b441bc5b864d15123e6aa14091ed577b8fe3925dc44e5214ff936ceb954ff9"),
+     0, "8d9b61d692ea6204d842f1f26ac7ade79242adc3ec914ef56b706f4cf643a21d"),
     ("run --algo edge-delta2 --gen path:n=1 --seed 0",
-     0, "2d5baa75596eca0413eb4bac791ce6b9fbb609422ccb6166da4fe773ac7b0388"),
+     0, "4c881e8ddb1b221df570116d28e23960be07a2256b91b72a558bf6f8b364b15a"),
     ("run --algo kuhn-edge --gen path:n=1 --seed 0 --param i=1",
-     0, "f1f37c4da557bb2b674c188636f46c3b447240828609bf029f3d2d16c7697e4c"),
+     0, "dd8e3239740324c8b8ef8972eea75493267b930a09d148382f47162a6bc91a5c"),
     ("run --algo dominating-edge --gen path:n=1 --seed 0",
-     0, "8c695185332ebe2e82f3e35fb82da7e34eef064bbd7a63981b3cd9cfb579bfe0"),
+     0, "b1a6447309ae36fb0eaa3e6fc3da1325b0cf785c098a8557410087cea577e9e1"),
     ("run --algo cv3-expansion --gen clique:n=2 --seed 0",
-     0, "443f975b59fb38ffc0ff2133badf91e2557efce1110dca3604e7507f3f006a64"),
+     0, "affec9d3dacb3e04be3b2e668ff4eb3a54eda350ba1a4b3b7f7c7e881d6f0883"),
     ("run --algo random-coloring --gen clique:n=2 --seed 0",
-     0, "95e7172af3bfa671b369f14402e0b60880124b68909a3afbf00d4a9e8cb0f9c4"),
+     0, "eb7c73c52985f964b9c54481a4a5c9cbe1ebda7b8d78efe4f4a2da58fd653bdb"),
     ("run --algo delta2-coloring --gen clique:n=2 --seed 0",
-     0, "b9c893c078bb39c781818075bf5f0b00ad77fece4755d4eb647296b87b9a3bef"),
+     0, "495dd55d3e9504f5387eaf6586459d04e8b8d1b84a59cbc172234f185f7bcf9c"),
     ("run --algo defective-coloring --gen clique:n=2 --seed 0 --param p=1",
-     0, "b7100d5ab3f6e3775113043e5f1838c1007d0f85f8813e6944210f17ed4f04bc"),
+     0, "6d55e3d5711865fb849f9cf34efd207a5da00c978a95349afc8da5751518f377"),
     ("run --algo arboricity-coloring --gen clique:n=2 --seed 0 --param a=2",
-     0, "3b8b3ed0e9c977136c1232b929a3c50507aa521f4c8d101379d53a5356c5772c"),
+     0, "0eb271b4b0315a7db152459b88c227b219028464cd69bf2900814c9f582a0a03"),
     ("run --algo network-decomposition --gen clique:n=2 --seed 0",
-     0, "e4bde4185246ee2357e2851f882448cf1df91d148b30eadcad115cd1310cc909"),
+     0, "b14164ac4e87e528d1c41ab48ea13ed7d69b21834b7cd924416c5942c07402cc"),
     ("run --algo forest-id --gen clique:n=2 --seed 0",
-     0, "3a5f266f9f3af394aaf4d545181d8ec4cbb8b4bca25f054b8e5bc270341fc714"),
+     0, "8f43926071cbcaca7c8801a97f4cf24071f9ac5212f4fc870a9af0b817c9089e"),
     ("run --algo forest-hpartition --gen clique:n=2 --seed 0 --param a=2",
-     0, "262c4b1f10d76b8e11d286b850ab66651eedd55024f0dc9ed8edb4d01bb8f4c5"),
+     0, "00c8e398efe3e33098852626770f8bb24b0b808bf37d54ec8e2d9aeb657b9b62"),
     ("run --algo edge-random --gen clique:n=2 --seed 0",
-     0, "6bf5855d7a1085642bdb09539b35ac93ee39423c49add4700373469c7068009d"),
+     0, "ae95a4104a4a323a443e2c64398c70367125aa4779491e7699c8c6e4453d9b67"),
     ("run --algo edge-delta2 --gen clique:n=2 --seed 0",
-     0, "4eb9f84518d9a88d9f619778fbf3883d0d508d3c001b947a8ed556a5413a1401"),
+     0, "3cca957cf01d0b2da5f8fe8faa0b982fc5947f758312acc520c51e78f963b8da"),
     ("run --algo kuhn-edge --gen clique:n=2 --seed 0 --param i=1",
-     0, "aef3b2f350ce1755f4795fa030df01b480b6149704adf26169dbcb8e52343d10"),
+     0, "ecbb9ddac2c9a903a969fe3c4c32a62fa08539e106b435c3b6fff68e96adac02"),
     ("run --algo dominating-edge --gen clique:n=2 --seed 0",
-     0, "017bfb2dd02a171a5d480c5891f8f4ae24f43328e5ea52bf4776c1c471a54f58"),
+     0, "411739f201712df216ef9b689a48a30df5ecab1c104135dc9c7d2a8175c6a76a"),
 ]
 
 

@@ -71,6 +71,16 @@ class TestEdgeList:
         with pytest.raises(EdgeListError, match="out of range"):
             load_edge_list("p 2 1\n0 5")
 
+    @pytest.mark.parametrize("text,message", [
+        ("p x 3\n0 1", "line 1: header needs an integer n >= 0, got 'x'"),
+        ("p -3 0", "line 1: header needs an integer n >= 0, got '-3'"),
+        ("0 5\np 3 1", "line 2: header needs an integer n >= 6, got '3'"),
+    ], ids=["non-integer", "negative", "below-an-earlier-id"])
+    def test_bad_header_names_its_line(self, text, message):
+        with pytest.raises(EdgeListError) as exc:
+            load_edge_list(text)
+        assert str(exc.value) == message
+
     def test_header_sets_n(self):
         g = load_edge_list("p 10 1\n0 1")
         assert g.n == 10

@@ -223,22 +223,22 @@ class TestEngine:
         assert r_base.outputs[4] != r_mut.outputs[4]  # ball differs here
 
     def test_sweep_counts_every_round_as_communication(self):
-        rep = RunReport.sweep(7, 30, seed=5)
+        rep = RunReport.sweep(7, 30)
         assert (rep.rounds, rep.comm_rounds, rep.messages_total) == (7, 7, 30)
-        assert rep.seed == 5 and not rep.incomplete and rep.outputs == ()
-        assert RunReport.sweep(2, 0, seed=5, incomplete=True).incomplete
+        assert not rep.incomplete and rep.outputs == ()
+        assert RunReport.sweep(2, 0, incomplete=True).incomplete
 
     def test_parallel_and_sequential_composition(self):
-        a = RunReport(rounds=4, comm_rounds=3, messages_total=10, seed=1)
-        b = RunReport(rounds=6, comm_rounds=2, messages_total=5, seed=2, incomplete=True)
-        par = RunReport.parallel([a, b], seed=9)
+        a = RunReport(rounds=4, comm_rounds=3, messages_total=10)
+        b = RunReport(rounds=6, comm_rounds=2, messages_total=5, incomplete=True)
+        par = RunReport.parallel([a, b])
         assert (par.rounds, par.comm_rounds, par.messages_total) == (6, 3, 15)
-        assert par.incomplete and par.seed == 9 and par.outputs == ()
-        assert not RunReport.parallel([a, a], seed=9).incomplete
-        seq = RunReport.sequential([a, b], seed=9)
+        assert par.incomplete and par.outputs == ()
+        assert not RunReport.parallel(iter([a, a])).incomplete
+        seq = RunReport.sequential([a, b])
         assert (seq.rounds, seq.comm_rounds, seq.messages_total) == (10, 5, 15)
         assert seq.incomplete
-        assert RunReport.parallel([], seed=9) == RunReport.sweep(0, 0, seed=9)
+        assert RunReport.parallel([]) == RunReport.sweep(0, 0)
 
     def test_seed_changes_transcript(self):
         g = generate(GeneratorSpec("path", 6))

@@ -243,9 +243,11 @@ class TestMetrics:
         assert metrics(dom)["contingency_factor"] == "1/1"
 
     def test_document_shape(self):
-        doc = metrics(vdom(6, {0, 1}, {2, 3, 4}), rounds=2)
+        doc = metrics(vdom(6, {0, 1}, {2, 3, 4}))
         assert doc["contingency_factor"] == "3/1"
-        assert doc["rounds"] == 2
+        assert list(doc) == ["problem_domain_size", "solution_domain_min",
+                             "solution_domain_median", "solution_domain_max",
+                             "contingency_factor", "contingency_factor_float", "verdicts"]
 
 
 def test_checkers_do_not_import_algorithm_modules():
