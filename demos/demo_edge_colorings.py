@@ -32,9 +32,10 @@ print("adjacent edge domains disjoint:",
 # multiplicity at most i; the color is the unordered pair of numbers.
 i = 2
 kuhn = kuhn_defective_edge_coloring(graph, i=i, seed=2)
-verdict, worst = check_edge_defect(graph, kuhn.colors, kuhn.defect_bound)
-print(f"\ndefective edge coloring (i={i}): {kuhn.params['palette_size']} colors in "
-      f"{kuhn.report.comm_rounds} round; defect {worst} <= {kuhn.defect_bound}: "
+numbers = kuhn.params["numbers"]
+verdict, worst = check_edge_defect(graph, kuhn.colors, 4 * i - 2)
+print(f"\ndefective edge coloring (i={i}): C({numbers}+1, 2) = {math.comb(numbers + 1, 2)} "
+      f"colors in {kuhn.report.comm_rounds} round; defect {worst} <= 4i-2 = {4 * i - 2}: "
       f"{verdict.ok}")
 
 # 3. dominating set: split a proper c*max_degree coloring into
@@ -44,7 +45,7 @@ dom = dominating_edge_coloring(graph, c=3, t=3, seed=3)
 print(f"\ndominating set: {len(dom.dominating)} of {graph.m} edges, "
       f"{dom.params['classes']} classes, dominating: "
       f"{check_edge_dominating(graph, dom.dominating).ok}")
-m = metrics(dom.domains)
+m = metrics(dom.domains.palette, dom.domains.sizes())
 print(f"palette {m['problem_domain_size']}, solution domain {m['solution_domain_min']}, "
       f"contingency factor {m['contingency_factor']} "
       f"(= ceil(sqrt(max_degree)) = {math.isqrt(graph.max_degree - 1) + 1})")

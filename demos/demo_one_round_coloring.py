@@ -7,6 +7,7 @@
 # neighbors end up choosing, and about half of the draw survives.
 
 import math
+from fractions import Fraction
 
 from genlabel import GeneratorSpec, generate, generic_random_coloring
 from genlabel.verify import check_domains_disjoint, metrics
@@ -30,8 +31,8 @@ verdict = check_domains_disjoint(graph, result.domains)
 print("adjacent domains disjoint:", verdict.ok)
 
 # A neighbor can only guess the final color with probability 1/|domain|.
-m = metrics(result.domains)
+m = metrics(result.domains.palette, result.domains.sizes())
 print(f"palette {m['problem_domain_size']}, solution domain >= {m['solution_domain_min']}, "
       f"contingency factor {m['contingency_factor']} "
-      f"(~{m['contingency_factor_float']:.1f}, order max_degree)")
+      f"(~{float(Fraction(m['contingency_factor'])):.1f}, order max_degree)")
 print(f"worst-case guessing probability: 1/{m['solution_domain_min']}")

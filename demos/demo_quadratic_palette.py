@@ -12,7 +12,7 @@ result = generic_delta2_coloring(graph)
 
 print(f"n={graph.n}, max_degree={graph.max_degree}")
 print("reduction schedule (degree bound, prime):", result.params["reduction_steps"])
-print(f"final prime q={result.params['q_final']}, palette {result.domains.palette}")
+print(f"final prime q={result.domains.stride}, palette {result.domains.palette}")
 print(f"communication rounds: {result.report.comm_rounds} "
       f"(log* n = {log_star(graph.n)})")
 
@@ -21,7 +21,7 @@ print(f"domain sizes: min={min(sizes)} max={max(sizes)} "
       f"(guarantee: >= max_degree = {graph.max_degree})")
 print("adjacent domains disjoint:", check_domains_disjoint(graph, result.domains).ok)
 
-m = metrics(result.domains)
+m = metrics(result.domains.palette, result.domains.sizes())
 print(f"contingency factor {m['contingency_factor']} (order max_degree)")
 
 # The same call on a bushier graph needs no reductions at all: the id palette

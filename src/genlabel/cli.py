@@ -22,6 +22,7 @@ from . import verify
 from .decomposition import (
     ArboricityError,
     arboricity_generic_coloring,
+    default_radius_cap,
     forest_decomposition,
     generic_network_decomposition,
 )
@@ -121,14 +122,14 @@ def parse_gen_spec(text: str) -> GeneratorSpec:
 def _body(params: dict, report: RunReport, verdicts, labels: LabelDomain | None = None,
           failed=(), metrics: dict | None = None, **fields) -> dict:
     """The shared report body: params, run, failed, the tag's own fields,
-    labels, metrics.  Given label domains, the metrics are verify.metrics over
-    them followed by the extra entries in ``metrics``; without, ``metrics`` is
-    the whole metrics document."""
+    labels, metrics.  Given per-entity label domains, they are listed and the
+    metrics are verify.metrics over them followed by the extra entries in
+    ``metrics``; without, ``metrics`` is the whole metrics document."""
     doc = {"params": dict(params), "run": report.to_document(),
            "failed": list(failed), **fields}
     if labels is not None:
         doc["labels"] = labels.to_document()
-        metrics = {**verify.metrics(labels, verdicts=verdicts), **(metrics or {})}
+        metrics = {**verify.metrics(labels.palette, labels.sizes(), verdicts), **(metrics or {})}
     doc["metrics"] = metrics
     return doc
 
@@ -162,18 +163,21 @@ def _cv3_expansion(g: Graph, seed: int, params: dict):
     dom = expand_to_generic(colored.colors, delta)
     verdicts = [verify.check_proper_vertex(g, colored.colors),
                 verify.check_domains_disjoint(g, dom)]
-    return _body({**colored.params, "delta": delta}, colored.report, verdicts, dom,
-                 colors=list(colored.colors)), verdicts
+    # v's domain is {x < palette : x % 3 == colors[v]}, so it is not listed
+    return _body({**colored.params, "delta": delta}, colored.report, verdicts,
+                 colors=list(colored.colors),
+                 metrics=verify.metrics(dom.palette, dom.sizes(), verdicts)), verdicts
 
 
 def _network_decomposition(g: Graph, seed: int, params: dict):
     params = dict(params)
     budget = params.pop("label_budget", None)
-    res = generic_network_decomposition(g, seed=seed, radius_cap=params.pop("B", None),
-                                        **params)
-    bound = 2 * res.params["radius_cap"]
+    radius_cap = params.pop("B", None)
+    res = generic_network_decomposition(g, seed=seed, radius_cap=radius_cap, **params)
+    # the verifier's inputs come from the invocation; 2 is the entry point's c
+    bound = 2 * (default_radius_cap(g.n) if radius_cap is None else radius_cap)
     if budget is None:
-        budget = res.params["c"] * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
+        budget = params.get("c", 2) * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
     elif budget < 1:
         raise ConfigError(f"label_budget must be >= 1, got {budget}")
     verdict, measured = verify.check_network_decomposition(
@@ -186,7 +190,7 @@ def _network_decomposition(g: Graph, seed: int, params: dict):
 
 
 def _forest(g: Graph, seed: int, params: dict, mode: str):
-    labeling, dom, report = forest_decomposition(g, mode=mode, seed=seed, **params)
+    labeling, report = forest_decomposition(g, mode=mode, seed=seed, **params)
     # the label bound comes from the invocation; 1.0 is forest_decomposition's eps
     eps = params.get("eps", 1.0)
     bound = g.max_degree if mode == "id" else math.floor((2 + eps) * params["a"])
@@ -196,22 +200,25 @@ def _forest(g: Graph, seed: int, params: dict, mode: str):
          "assigner": labeling.assigner[e]}
         for e, (u, v) in enumerate(g.edges)
     ]
-    return _body({"forest_count": labeling.forest_count}, report, verdicts, dom,
-                 edges=edges), verdicts
+    # every edge's domain is 1..bound, not listed; an edgeless graph keeps a palette of 1
+    return _body({}, report, verdicts, edges=edges,
+                 metrics=verify.metrics(max(bound, 1), [bound] * g.m, verdicts)), verdicts
 
 
 def _kuhn_edge(g: Graph, seed: int, params: dict):
     res = kuhn_defective_edge_coloring(g, seed=seed, **params)
+    # the palette C(ceil(max_degree/i)+1, 2) and the bound 4i-2 come from the invocation
+    numbers = -(-g.max_degree // params["i"]) or 1
     bound = 4 * params["i"] - 2
     verdict, worst = verify.check_edge_defect(g, res.colors, bound)
     metrics = {
-        "problem_domain_size": res.params["palette_size"],
+        "problem_domain_size": math.comb(numbers + 1, 2),
         "defect_bound": bound,
         "measured_defect": worst,
         "verdicts": [verdict.to_document()],
     }
     return _body(res.params, res.report, [verdict], metrics=metrics,
-                 colors=list(res.colors), pairs=[list(p) for p in res.pairs]), [verdict]
+                 colors=list(res.colors)), [verdict]
 
 
 def _dominating_edge(g: Graph, seed: int, params: dict):
@@ -312,7 +319,7 @@ def build_report(tag: str, g: Graph, source: dict, seed: int, params: dict) -> d
     status = ("incomplete" if incomplete
               else "ok" if all(v.ok for v in verdicts) else "verdict-failure")
     return {
-        "schema": "genlabel-report-v2",
+        "schema": "genlabel-report-v3",
         "algorithm": tag,
         "seed": seed,
         "graph": {

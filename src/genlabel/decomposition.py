@@ -248,7 +248,6 @@ def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
         "radius_cap": cap,
         "phase_counts": [r.phase_count for r in runs],
         "clusters_per_execution": [len(m) for m in dense_maps],
-        "stride": stride,
     }
     return DomainsResult(domains=dom, report=report, params=params,
                          failed=tuple(failed))
@@ -312,20 +311,13 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
 class ForestLabeling:
     """Edge labels in 1..forest_count, each assigned by one endpoint such that
     a vertex's assigned edges carry pairwise distinct labels; every label
-    class is then a forest (each vertex has at most one parent per class)."""
+    class is then a forest (each vertex has at most one parent per class).
+    From an edge's viewpoint every label in 1..forest_count is possible, so
+    its domain is that whole range and the contingency factor is 1."""
 
     edge_labels: tuple[int, ...]
     assigner: tuple[int, ...]
     forest_count: int
-
-    def domain(self) -> LabelDomain:
-        """From the edge's viewpoint every label is possible: contingency 1."""
-        full = frozenset(range(self.forest_count))
-        return LabelDomain(
-            kind="edge",
-            domains={e: full for e in range(len(self.edge_labels))},
-            palette=max(self.forest_count, 1),
-        )
 
 
 class _ForestIdProgram(NodeProgram):
@@ -356,9 +348,9 @@ class _ForestIdProgram(NodeProgram):
 
 
 def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
-                         eps: float = 1.0, seed: int = 0
-                         ) -> tuple[ForestLabeling, LabelDomain, RunReport]:
+                         eps: float = 1.0, seed: int = 0) -> tuple[ForestLabeling, RunReport]:
     """Label every edge with a forest index; every label class is acyclic.
+    Returns the labeling and the run report; no per-edge domain is built.
 
     id mode: orient toward higher ids and number out-edges in two rounds,
     with forest_count = max degree.  h-partition mode: orient via the peeling
@@ -378,8 +370,7 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 e = g.edge_id(v, u)
                 labels[e] = num
                 assigner[e] = v
-        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
-        return labeling, labeling.domain(), report
+        return ForestLabeling(tuple(labels), tuple(assigner), forest_count), report
     if mode == "h-partition":
         if a is None:
             raise ValueError("h-partition mode requires the arboricity bound a")
@@ -401,8 +392,7 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
                 assigner[e] = v
                 messages += 1
         report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, messages)
-        labeling = ForestLabeling(tuple(labels), tuple(assigner), forest_count)
-        return labeling, labeling.domain(), report
+        return ForestLabeling(tuple(labels), tuple(assigner), forest_count), report
     raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
 
 
@@ -411,14 +401,14 @@ def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
     """Generic coloring for arboricity-a graphs: acyclic low-out-degree
     orientation via the peeling partition, then one round of parent-to-child
     color-set pruning.  Each edge has one direction, so adjacent surviving
-    sets are disjoint outright.  Palette 2*floor((2+eps)*a)*k."""
+    sets are disjoint outright.  Palette 2*floor((2+eps)*a)*k, with stride
+    2*floor((2+eps)*a); the peeling takes ``params["layers"]`` rounds."""
     hp = h_partition(g, a, eps)
     bound = math.floor((2 + eps) * a)
     k = draw_count(c, g.n)
-    value_range = 2 * bound
     orientation = hp.orientation
     roots = frozenset(v for v in range(g.n) if not orientation.out_degree(v))
-    dom, report, failed = draw_and_prune(g, seed, k, value_range, orientation.children(),
+    dom, report, failed = draw_and_prune(g, seed, k, 2 * bound, orientation.children(),
                                          roots)
     params = {
         "a": a,
@@ -426,8 +416,6 @@ def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,
         "c": c,
         "k": k,
         "out_degree_bound": bound,
-        "value_range": value_range,
         "layers": hp.layer_count,
-        "rounds_total": hp.layer_count + 1 if g.n else 0,
     }
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)

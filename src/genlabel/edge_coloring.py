@@ -68,7 +68,8 @@ def pair_index(a: int, b: int, numbers: int) -> int:
 @dataclass(frozen=True)
 class KuhnEdgeColoring:
     """``colors[e]`` is edge e's index in ``pair_palette(params["numbers"])``,
-    a palette of ``params["palette_size"]`` colors.
+    a palette of C(numbers+1, 2) colors: ``pair_index(a, b, numbers)`` for
+    the numbers a <= b its endpoints gave it.
 
     ``numbering[v]`` is vertex v's assignment table: (neighbor, number) per
     incident edge, each of the ``params["numbers"]`` numbers used on at most
@@ -76,9 +77,7 @@ class KuhnEdgeColoring:
     """
 
     colors: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
     numbering: tuple[tuple[tuple[int, int], ...], ...]
-    defect_bound: int
     report: RunReport
     params: dict = field(default_factory=dict)
 
@@ -128,18 +127,15 @@ def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeCol
     for v in range(g.n):
         for u, num in report.outputs[v][0]:
             assigned[(v, u)] = num
-    pairs = []
     colors = []
     for u, v in g.edges:
         a, b = assigned[(u, v)], assigned[(v, u)]
         if a > b:
             a, b = b, a
-        pairs.append((a, b))
         colors.append(pair_index(a, b, numbers))
-    params = {"i": i, "numbers": numbers, "palette_size": numbers * (numbers + 1) // 2}
-    return KuhnEdgeColoring(colors=tuple(colors), pairs=tuple(pairs),
+    return KuhnEdgeColoring(colors=tuple(colors),
                             numbering=tuple(out[0] for out in report.outputs),
-                            defect_bound=4 * i - 2, report=report, params=params)
+                            report=report, params={"i": i, "numbers": numbers})
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from .rng import Stream, subseed
 
 GENERATOR_KINDS = ("clique", "path", "random-tree", "gnp", "forest-union")
 MAX_LINE_GRAPH_EDGES = 2_000_000  # edge-random at the cap peaks near 0.6 GB
+MAX_GRAPH_SIZE = 1_000_000  # most vertices of a graph, and most edges a generator makes
 
 
 class EdgeListError(ValueError):
@@ -30,9 +31,10 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build a graph from unordered pairs; duplicates collapse, loops rejected."""
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        """Build a graph from unordered pairs; duplicates collapse, loops rejected.
+        An ``n`` above MAX_GRAPH_SIZE is refused before anything is built."""
+        if not 0 <= n <= MAX_GRAPH_SIZE:
+            raise ValueError(f"vertex count must be in [0, {MAX_GRAPH_SIZE}], got {n}")
         canon = set()
         for u, v in edges:
             if u == v:
@@ -144,6 +146,12 @@ class GeneratorSpec:
                 raise ValueError(f"forest-union requires a >= 1, got {self.a}")
         if self.max_deg is not None and (self.kind != "random-tree" or self.max_deg < 2):
             raise ValueError("max_deg applies to random-tree only and must be >= 2")
+        pairs = self.n * (self.n - 1) // 2
+        edges = {"clique": pairs, "gnp": (self.p or 0.0) * pairs,
+                 "forest-union": (self.a or 1) * (self.n // 2)}.get(self.kind, self.n - 1)
+        if edges > MAX_GRAPH_SIZE:
+            raise ValueError(f"{self.kind} graph would have about {edges:.0f} "
+                             f"edges, more than {MAX_GRAPH_SIZE}")
 
 
 def generate(spec: GeneratorSpec) -> Graph:

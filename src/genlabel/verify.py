@@ -372,19 +372,18 @@ def check_matching(g: Graph, matching, edges) -> Verdict:
     return _ok(name)
 
 
-def metrics(dom: LabelDomain, verdicts=()) -> dict:
-    """The metrics document of ``dom`` and ``verdicts``: the problem domain (its
-    palette), the solution domain sizes, and their ratio, the contingency factor,
-    as "p/q" and as a float (0 when the smallest is empty or there is no entity)."""
-    sizes = dom.sizes()
+def metrics(palette: int, sizes: list[int], verdicts=()) -> dict:
+    """The metrics document of domains of the given ``sizes`` from ``palette``
+    labels, and ``verdicts``: the problem domain (the palette), the solution domain
+    sizes, and their ratio, the contingency factor, as "p/q" (0 when the smallest
+    is empty or there is no entity)."""
     smallest = min(sizes, default=0)
-    cf = Fraction(dom.palette, smallest) if smallest else Fraction(0)
+    cf = Fraction(palette, smallest) if smallest else Fraction(0)
     return {
-        "problem_domain_size": dom.palette,
+        "problem_domain_size": palette,
         "solution_domain_min": smallest,
         "solution_domain_median": int(median_low(sizes)) if sizes else 0,
         "solution_domain_max": max(sizes, default=0),
         "contingency_factor": f"{cf.numerator}/{cf.denominator}",
-        "contingency_factor_float": float(cf),
         "verdicts": [v.to_document() for v in verdicts],
     }

@@ -226,13 +226,13 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
 
     Surviving sets of adjacent vertices are disjoint by construction; around
     half of each set survives.  A vertex whose set empties marks the run
-    failed (retry with a new seed).  Palette 2*delta*k.
+    failed (retry with a new seed).  Palette 2*delta*k; the stride is the
+    value range 2*delta.
     """
     delta = _degree_bound(g, delta)
     k = draw_count(c, g.n)
-    value_range = 2 * delta
-    dom, report, failed = draw_and_prune(g, seed, k, value_range, g.adjacency, frozenset())
-    params = {"c": c, "k": k, "delta": delta, "value_range": value_range}
+    dom, report, failed = draw_and_prune(g, seed, k, 2 * delta, g.adjacency, frozenset())
+    params = {"c": c, "k": k, "delta": delta}
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)
 
 
@@ -328,7 +328,8 @@ def _plan_pipeline(n: int, delta: int, base_prime: int) -> tuple[list[tuple[int,
 
 
 def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
-    """Plan and run the pipeline from the base prime q >= 3*delta/(rho+1).
+    """Plan and run the pipeline from the base prime q >= 3*delta/(rho+1);
+    the domains' stride is the final prime and their palette its square.
     Its primes and point sets grow with delta, so a realized max degree above
     MAX_DELTA is refused before any prime is picked."""
     if delta > MAX_DELTA:
@@ -345,7 +346,6 @@ def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
     failed = tuple(v for v in range(g.n) if not domains[v])
     params = {
         "delta": delta,
-        "q_final": final_prime,
         "rho": rho,
         "reduction_steps": [list(s) for s in steps],
         "log_star_n": log_star(max(g.n, 2)),

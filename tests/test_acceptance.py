@@ -119,7 +119,7 @@ def test_criterion_02_delta2_pipeline():
         delta = g.max_degree
         res = generic_delta2_coloring(g)
         q_f = smallest_prime_geq(max(3 * delta, 2))
-        assert res.params["q_final"] == q_f
+        assert res.domains.stride == q_f
         assert res.domains.palette == q_f * q_f
         assert res.domains.min_size >= delta
         assert res.report.comm_rounds <= log_star(g.n) + ROUND_CONSTANT
@@ -165,7 +165,7 @@ def test_criterion_04_defective_coloring():
     """Defective coloring with degree bound 16 and p in {1, 2, 4}, 20 seeds
     each: the worst-case-selection defect condition holds for every (vertex,
     label) pair, communication rounds stay within log*(n) + C, and the palette
-    is at most 4 * q_final^2 with q_final echoed in the result."""
+    is at most 4 * q_final^2 with q_final the domains' stride."""
     families = conforming_gnp(1024, 5 / 1023, 16, 20)
     for p in (1, 2, 4):
         for seed, g in families:
@@ -173,7 +173,7 @@ def test_criterion_04_defective_coloring():
             verdict, worst = check_defective_domains(g, res.domains, p)
             assert verdict.ok, f"defect {worst} > {p} at seed {seed}"
             assert res.report.comm_rounds <= log_star(g.n) + ROUND_CONSTANT
-            q_f = res.params["q_final"]
+            q_f = res.domains.stride
             assert res.domains.palette <= 4 * q_f * q_f
             assert res.domains.min_size >= res.params["domain_floor"]
     print("[criterion 4] PASS: p in {1,2,4} x 20 seeds, defect condition exact")
@@ -191,7 +191,7 @@ def test_criterion_05_cole_vishkin_expansion():
     delta = g.max_degree
     dom = expand_to_generic(res.colors, delta)
     assert all(len(d) == delta for d in dom.domains.values())
-    assert metrics(dom)["contingency_factor"] == "3/1"
+    assert metrics(dom.palette, dom.sizes())["contingency_factor"] == "3/1"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"criterion 5 took {elapsed:.1f}s"
     print(f"[criterion 5] PASS: n=100000, delta={delta}, contingency 3, "
@@ -239,7 +239,7 @@ def test_criterion_07_forest_decomposition():
     vertex, and every such selection is acyclic).  Peeling mode on a union of
     2 forests: layers within 2*log2(n), out-degree and class count at most 6."""
     for seed, g in conforming_gnp(1024, 5 / 1023, 16, 5):
-        labeling, dom, report = forest_decomposition(g, mode="id", seed=seed)
+        labeling, report = forest_decomposition(g, mode="id", seed=seed)
         assert report.comm_rounds == 2
         assert labeling.forest_count <= 16
         assert check_forest_labeling(g, labeling.edge_labels, labeling.assigner,
@@ -285,8 +285,7 @@ def test_criterion_07_forest_decomposition():
                             assert uf.union(u, v)
 
     hp_graph = generate(GeneratorSpec("forest-union", 1024, a=2, seed=3))
-    labeling, dom, report = forest_decomposition(hp_graph, mode="h-partition",
-                                                 a=2, eps=1.0, seed=3)
+    labeling, report = forest_decomposition(hp_graph, mode="h-partition", a=2, eps=1.0, seed=3)
     hp = h_partition(hp_graph, a=2, eps=1.0)
     assert hp.layer_count <= math.floor(2 * math.log2(1024))
     assert hp.orientation.max_out_degree <= 6
@@ -329,7 +328,8 @@ def test_criterion_09_kuhn_edge_coloring():
             res = kuhn_defective_edge_coloring(g, i=i, seed=seed)
             assert res.report.comm_rounds == 1
             limit = -(-g.max_degree // i)
-            assert res.params["palette_size"] <= math.comb(limit + 1, 2)
+            assert max(res.colors, default=0) < math.comb(res.params["numbers"] + 1, 2)
+            assert res.params["numbers"] <= limit
             verdict, worst = check_edge_defect(g, res.colors, 4 * i - 2)
             assert verdict.ok, f"defect {worst} > {4 * i - 2} (i={i}, seed={seed})"
             runs += 1
@@ -445,7 +445,7 @@ def test_criterion_11_dominating_edge_coloring():
         s = math.isqrt(g.max_degree)
         if s * s < g.max_degree:
             s += 1
-        assert metrics(res.domains)["contingency_factor"] == f"{s}/1"
+        assert metrics(res.domains.palette, res.domains.sizes())["contingency_factor"] == f"{s}/1"
     print("[criterion 11] PASS: 50 runs, domination + matchings + "
           "1000 selections each")
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genlabel
-from genlabel import GeneratorSpec, Graph, LabelDomain, cli, generate, verify
+from genlabel import GeneratorSpec, Graph, LabelDomain, cli, generate, load_edge_list, verify
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
@@ -31,8 +32,12 @@ from genlabel.cli import (
     to_json,
 )
 from genlabel.cli import ConfigError
-from genlabel.decomposition import forest_decomposition
-from genlabel.graphs import MAX_LINE_GRAPH_EDGES
+from genlabel.decomposition import (
+    default_radius_cap,
+    forest_decomposition,
+    generic_network_decomposition,
+)
+from genlabel.graphs import MAX_GRAPH_SIZE, MAX_LINE_GRAPH_EDGES
 from genlabel.labels import MAX_DELTA
 
 
@@ -264,6 +269,45 @@ class TestRun:
         main(base + ["--param", "label_budget=1", "--out", str(out)])
         assert json.loads(out.read_text())["metrics"]["label_budget"] == 1
 
+    def test_network_decomposition_defaults_are_the_entry_points(self, monkeypatch):
+        """Without B, c and label_budget the verifier gets the diameter bound
+        2*default_radius_cap(n) and the budget c*ceil(4*log2 n), for
+        generic_network_decomposition's own default c."""
+        check = verify.check_network_decomposition
+        calls = []
+
+        def spy(g, dom, diameter_bound, label_budget):
+            calls.append((diameter_bound, label_budget))
+            return check(g, dom, diameter_bound, label_budget)
+
+        monkeypatch.setattr(verify, "check_network_decomposition", spy)
+        assert main(["run", "--algo", "network-decomposition", "--gen", "gnp:n=32,p=0.1",
+                     "--out", os.devnull]) == EXIT_OK
+        c = inspect.signature(generic_network_decomposition).parameters["c"].default
+        assert calls == [(2 * default_radius_cap(32), c * math.ceil(4 * math.log2(32)))]
+
+    def test_network_decomposition_bound_comes_from_the_invocation(self, tmp_path,
+                                                                   monkeypatch):
+        """A run that claims twice its radius cap B=1, with clusters of four
+        path vertices (weak diameter 3), fails the diameter bound 2B = 2."""
+        real = cli.generic_network_decomposition
+
+        def wide(g, seed=0, radius_cap=None, **params):
+            res = real(g, seed=seed, radius_cap=radius_cap, **params)
+            domains = {v: frozenset({v // 4, 3 + v // 4}) for v in range(g.n)}
+            return replace(res, domains=LabelDomain(kind="vertex", domains=domains,
+                                                    palette=6, stride=3),
+                           params={**res.params, "radius_cap": 2 * radius_cap})
+
+        monkeypatch.setattr(cli, "generic_network_decomposition", wide)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "network-decomposition", "--gen", "path:n=12",
+                     "--param", "B=1", "--out", str(out)]) == EXIT_VERDICT
+        doc = json.loads(out.read_text())
+        assert (doc["params"]["radius_cap"], doc["metrics"]["diameter_bound"]) == (2, 2)
+        verdict = doc["metrics"]["verdicts"][0]
+        assert verdict["detail"] == "label 0 holders exceed weak diameter 2"
+
     def test_cv3_expansion_delta_zero_config_error(self, capsys):
         """A given delta of 0 reaches expand_to_generic instead of falling back
         to the max degree."""
@@ -274,13 +318,14 @@ class TestRun:
 
     def test_kuhn_edge_checks_its_own_bound(self, tmp_path, monkeypatch):
         """The defect bound 4i-2 comes from --param i, not from the result:
-        colors of defect 3 fail i=1 even when the result claims a bound of 99."""
+        colors of defect 3 fail i=1 even when the result claims i=25."""
         real = cli.kuhn_defective_edge_coloring
 
-        def claims_99(g, i, seed=0):
-            return replace(real(g, i=i, seed=seed), colors=(0,) * g.m, defect_bound=99)
+        def claims_25(g, i, seed=0):
+            res = real(g, i=i, seed=seed)
+            return replace(res, colors=(0,) * g.m, params={**res.params, "i": 25})
 
-        monkeypatch.setattr(cli, "kuhn_defective_edge_coloring", claims_99)
+        monkeypatch.setattr(cli, "kuhn_defective_edge_coloring", claims_25)
         star = tmp_path / "star.edges"
         star.write_text("0 1\n0 2\n0 3\n0 4\n")
         out = tmp_path / "r.json"
@@ -415,10 +460,10 @@ class TestRun:
         real = cli.forest_decomposition
 
         def inflated(g, **kwargs):
-            labeling, dom, report = real(g, **kwargs)
+            labeling, report = real(g, **kwargs)
             count = labeling.forest_count + 1
             return replace(labeling, edge_labels=(count, *labeling.edge_labels[1:]),
-                           forest_count=count), dom, report
+                           forest_count=count), report
 
         monkeypatch.setattr(cli, "forest_decomposition", inflated)
         out = tmp_path / "r.json"
@@ -562,9 +607,40 @@ class TestHugeLineGraph:
                                f"edges, got {20_000 * 19_999 // 2}\n")
 
 
+class TestHugeGraph:
+    """An input of a few bytes that asks for a graph above MAX_GRAPH_SIZE
+    vertices or generated edges is refused before the graph is built: exit 2
+    with one error line, within a second."""
+
+    @pytest.mark.parametrize("source,text,message", [
+        ("--gen=clique:n=10000", None,
+         f"clique graph would have about 49995000 edges, more than {MAX_GRAPH_SIZE}"),
+        ("--graph", "p 100000000 0\n",
+         f"vertex count must be in [0, {MAX_GRAPH_SIZE}], got 100000000"),
+        ("--graph", "0 100000000\n",
+         f"vertex count must be in [0, {MAX_GRAPH_SIZE}], got 100000001"),
+    ], ids=["clique", "header", "vertex-id"])
+    def test_config_error(self, source, text, message, tmp_path):
+        argv = ["run", "--algo", "forest-id", source]
+        if text is not None:
+            path = tmp_path / "g.edges"
+            path.write_text(text)
+            argv.append(str(path))
+        start = time.perf_counter()
+        proc = limited_cli(argv)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == f"error: {message}\n"
+
+    def test_gnp_expected_edges(self):
+        with pytest.raises(ConfigError, match="gnp graph would have about 2499750 edges"):
+            parse_gen_spec("gnp:n=10000,p=0.05")
+        assert parse_gen_spec("gnp:n=100000,p=0.0001").n == 100_000
+
+
 # A valid value for every optional --param on a small graph, the report field
 # that records it and the value recorded there.  forest-hpartition records
-# eps only through forest_count = floor((2 + eps) * a), with a = 2.
+# eps only through its palette floor((2 + eps) * a), with a = 2.
 OPTIONAL_PARAMS = [
     ("cv3-expansion", "delta", "9", "params.delta", 9),
     ("random-coloring", "c", "3.5", "params.c", 3.5),
@@ -576,7 +652,7 @@ OPTIONAL_PARAMS = [
     ("network-decomposition", "c", "3", "params.c", 3),
     ("network-decomposition", "B", "4", "params.radius_cap", 4),
     ("network-decomposition", "label_budget", "500", "metrics.label_budget", 500),
-    ("forest-hpartition", "eps", "0.5", "params.forest_count", 5),
+    ("forest-hpartition", "eps", "0.5", "metrics.problem_domain_size", 5),
     ("edge-random", "c", "3.5", "params.c", 3.5),
     ("dominating-edge", "c", "4", "params.c", 4),
     ("dominating-edge", "t", "2", "params.t", 2),
@@ -611,7 +687,15 @@ class TestOptionalParams:
         assert "unknown parameter 'max_rounds'" in capsys.readouterr().err
 
 
-class TestReportV2:
+# Keys a v3 report no longer has, each restated by another fact of it.
+RESTATED = {"params": {"value_range", "q_final", "stride", "rounds_total", "forest_count",
+                       "palette_size"},
+            "metrics": {"contingency_factor_float"}}
+# Tags whose report lists no per-entity domains: their rule is in the README.
+UNLISTED = {"cv3-expansion", "forest-id", "forest-hpartition", "kuhn-edge"}
+
+
+class TestReportV3:
     """Every report states each fact once, in _body's key order, and writes
     each integer list on one line."""
 
@@ -625,18 +709,117 @@ class TestReportV2:
         text = out.read_text()
         doc = json.loads(text)
         assert text == reference_json(doc) + "\n"
-        assert doc["schema"] == "genlabel-report-v2"
+        assert doc["schema"] == "genlabel-report-v3"
         assert list(doc["run"]) == ["rounds", "comm_rounds", "messages_total", "incomplete"]
         assert "rounds" not in doc["metrics"] and "owners" not in doc["params"]
+        for section, keys in RESTATED.items():
+            assert not keys & set(doc[section]), section
         keys = list(doc)
         assert keys[:7] == ["schema", "algorithm", "seed", "graph", "params", "run", "failed"]
         assert keys[-2:] == ["metrics", "status"]
         fields = keys[7:-2]
+        assert "pairs" not in fields
+        assert ("labels" in fields) == (tag not in UNLISTED)
         assert "labels" not in fields[:-1]
         if tag == "dominating-edge":
             assert fields == ["dominating", "class_of", "edges", "labels"]
             assert all(set(row) == {"u", "v"} for row in doc["edges"])
             assert doc["edges"]
+
+    @pytest.mark.parametrize("argv,n,m", [
+        (["--algo", "forest-id", "--graph", "STAR"], 301, 300),
+        (["--algo", "cv3-expansion", "--gen", "random-tree:n=50", "--param", "delta=65536"],
+         50, 49),
+    ], ids=["forest-id-star", "cv3-expansion-delta"])
+    def test_size_follows_the_graph(self, argv, n, m, tmp_path):
+        """A report whose domains are stated by their rule grows with the
+        graph, not with the domain sizes."""
+        star = tmp_path / "star.edges"
+        star.write_text("".join(f"0 {v}\n" for v in range(1, 301)))
+        out = tmp_path / "r.json"
+        argv = [str(star) if arg == "STAR" else arg for arg in argv]
+        assert main(["run", *argv, "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_size < 200 * (n + m) + 4096
+
+    @pytest.mark.parametrize("tag,gen,params", [
+        ("forest-id", "gnp:n=32,p=0.1", {}),
+        ("forest-hpartition", "forest-union:n=32,a=2", {"a": 2, "eps": 0.5}),
+        ("cv3-expansion", "random-tree:n=32", {"delta": 7}),
+        ("kuhn-edge", "gnp:n=32,p=0.2", {"i": 2}),
+    ])
+    def test_rules_restate_the_domains(self, tag, gen, params, tmp_path):
+        """The metrics of a tag without a labels block are those of the
+        domains its rule gives: 1..palette for every forest edge, the residue
+        class of v's color below the palette for cv3-expansion, and the
+        C(ceil(max_degree/i)+1, 2) pair colors for kuhn-edge."""
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", tag, "--gen", gen, "--out", str(out),
+                     *[f"--param={k}={v}" for k, v in params.items()]]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        metrics, delta = doc["metrics"], doc["graph"]["max_degree"]
+        palette = metrics["problem_domain_size"]
+        if tag == "kuhn-edge":
+            assert palette == math.comb(-(-delta // params["i"]) + 1, 2)
+            assert max(doc["colors"]) < palette
+            return
+        if tag == "cv3-expansion":
+            assert palette == 3 * params["delta"]
+            domains = [[x for x in range(palette) if x % 3 == c] for c in doc["colors"]]
+        else:
+            bound = delta if tag == "forest-id" else math.floor((2 + params["eps"]) * params["a"])
+            assert palette == bound
+            assert all(1 <= row["label"] <= palette for row in doc["edges"])
+            domains = [range(1, palette + 1)] * doc["graph"]["m"]
+        assert metrics == verify.metrics(palette, [len(d) for d in domains],
+                                         [verify.Verdict(**v) for v in metrics["verdicts"]])
+
+
+SWEEP_GRAPHS = ["path:n=0", "path:n=1", "path:n=2", "clique:n=3", "gnp:n=6,p=0",
+                "random-tree:n=7", "forest-union:n=5,a=1", "STAR"]
+SWEEP_REQUIRED = {"defective-coloring": {"p": 1}, "arboricity-coloring": {"a": 1},
+                  "forest-hpartition": {"a": 2}, "kuhn-edge": {"i": 1}}
+
+
+def sweep_params(tag: str, max_degree: int) -> list[dict]:
+    """The params a tag runs with in the sweep: none besides the required
+    ones, then each extreme value of each optional key the tag has."""
+    schema = ALGORITHMS[tag].schema
+    extremes = {"c": [{"c": 0.001}] + ([{"c": 1024, "B": 1}] if "B" in schema else []),
+                "eps": [{"eps": 2}, {"eps": 0.01}],
+                "delta": [{"delta": max_degree}],
+                "i": [{"i": max_degree}]}
+    variants = [{}] + [extra for key in schema for extra in extremes.get(key, [])]
+    return [{**SWEEP_REQUIRED.get(tag, {}), **extra} for extra in variants]
+
+
+class TestDegenerateSweep:
+    """Every tag on tiny and degenerate graphs, with extreme params: each
+    invocation exits 0, 1, 2 or 3, writes at most one error line and no
+    traceback, and writes the same bytes when run twice."""
+
+    @pytest.mark.parametrize("tag", list(ALGORITHMS))
+    def test_tag(self, tag, tmp_path, capsys):
+        star = tmp_path / "star.edges"
+        star.write_text("0 1\n0 2\n0 3\n0 4\n")
+        for source in SWEEP_GRAPHS:
+            if source == "STAR":
+                g, args = load_edge_list(star.read_text()), ["--graph", str(star)]
+            else:
+                g, args = generate(parse_gen_spec(source)), ["--gen", source]
+            for params in sweep_params(tag, g.max_degree):
+                argv = ["run", "--algo", tag, *args,
+                        *[f"--param={k}={v}" for k, v in params.items()]]
+                outputs = []
+                for attempt in range(2):
+                    out = tmp_path / f"r{attempt}.json"
+                    out.unlink(missing_ok=True)
+                    code = main(argv + ["--out", str(out)])
+                    err = capsys.readouterr().err
+                    assert code in (0, 1, 2, 3), argv
+                    assert err.count("error:") <= 1 and "Traceback" not in err, argv
+                    assert err.count("\n") == err.count("error:"), argv
+                    outputs.append((code, err, out.read_bytes() if out.exists() else None))
+                assert outputs[0] == outputs[1], argv
 
 
 class TestUnwritableOut:

@@ -24,175 +24,175 @@ from genlabel.cli import main
 # (command, exit code, sha256 of the written report or table)
 CASES = [
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format json",
-     0, "d2cda0e27844fd1033f2d55bd051435aa909af74fb6bf493852c2fb7b2f63181"),
+     0, "40638fb744f44ef1a5d2be0c4c58ffe1298ddc4c603521df49f7e76206741138"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format csv",
      0, "e599a630c0e8530a9ca393cb42a147f1c61c76028fb965fdc4071ffee5f50058"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 1 --format json",
-     0, "ac3bbe5d5384dc103b35215a32cd9c77909aefb4b91c514af23784f762bdb252"),
+     0, "d1555a520aa8ac50a1d0382a7a658a890b5832127e8c0031ae66403e445f9645"),
     ("run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 1 --format csv",
      0, "c35661d98bb3b5931fcac052dbd41174a985d2dc4cc51a3efcebe2ad807f88bd"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "d3cee45c544353a6f97d16ced610a70ba04ec3ed5a3d788a6c1dd51ff8c1586c"),
+     0, "0845ae911bb70142e0c26521f1f1dca58973c9d056d6ca9c77510d62aa619c31"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "e079c0434bf84df9b41617dc8323a61e9343cf4d8a96e40222ec93b5f6fb1922"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "7e09cd5b0255f1e9192798fc61c18f5e82e9d1e72c01735f6c11a04cb76999b8"),
+     0, "4c7e3fd8c2637b35450d4742d011bf2f2170768cf58634b2a23ea2e13d2ce205"),
     ("run --algo random-coloring --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "ed569067e0a7308a7e58f2781445bfbdf85c879f576226492adb1821fcbd21a3"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "468195d4176caf6214c6c81b3aba22eefa7f5f7e8b33c483ab8c333c6098a352"),
+     0, "bb75c406dd7d3f7317e04458955f56bd1c0fcb3f4814191922af8c69333059d1"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "ba6bb5183841e0c74c38847837ec28f205359e437c6a317459b1bcb780d1ccef"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "d19449fd274fc72947214ace2e9c38b6d4dc95708c03b1d117a157a51f014fb7"),
+     0, "b4cea79315c787c4e71893b7d4c932e33cca46970335b7cad04020acd00c3688"),
     ("run --algo delta2-coloring --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "350365fa5c0a3b2f7152c0be4ad4543630e2d2f98b5ff379fc8f49da5116aafb"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 0 --format json --param p=2",
-     0, "38c5dc597e58dc5f78983218df0b8d94658c063324f17a81ea0526a310b1589d"),
+     0, "bbc007b443fc33a145a9beb60a154a5edf4cc2549b4f20912947627c7446605b"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 0 --format csv --param p=2",
      0, "00800d093ff36671419a10e59a6429d363cc43540dd8792d384d13630fe2cbf0"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 1 --format json --param p=2",
-     0, "c55ea3c15910a4a502867d98e9ce34448576a5d3aa833bccc8f2691a47d7ee4f"),
+     0, "24e1690942c8bf8796bcfffb7f0657270c4e15236e0b4c3c8057ad51ad34d5aa"),
     ("run --algo defective-coloring --gen gnp:n=256,p=0.04 --seed 1 --format csv --param p=2",
      0, "65a7bd8cef5589642069364d9e2b9a133a28d71bcca6347d3e9f0da674d7fe5f"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 0 --format json --param a=2",
-     0, "f1655fe5f123a9d7042034034e0a1195e1621ec2199aeca52ba5253decdc30f1"),
+     0, "6f134cbc1d5d1dde716b7909082d281ced9666731984a18f87eb22a908ba66f6"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 0 --format csv --param a=2",
      0, "cb76e09936c492e2d4da8467ac8eaddcd8767533955cd80c5acf00310202ce1d"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 1 --format json --param a=2",
-     0, "9907f9e8b80f166df4616a6e8e663667e4fe19729c0a76a84f76ea7691ea59f6"),
+     0, "56018f8edecbf962f949e4d108253ff41a6068205d61f62f108bb587f0adb083"),
     ("run --algo arboricity-coloring --gen forest-union:n=256,a=2 --seed 1 --format csv --param a=2",
      0, "b1b4b3692ea5d90d59244940f9a3f8e127bcd9f999d98f70696a0dab97979040"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 0 --format json --param c=2",
-     0, "5cf25c5719e3de5417eafe0086fcacc88ca2b5d2f1d59b5c5f71da40ff4ffa80"),
+     0, "496b1a1c5048651638204189f5fa275342c7f39f11d06beb9c74bf390e274534"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 0 --format csv --param c=2",
      0, "2f80cfddafea0dce3f86b6995844528eacba13be6c6cc625d6de012fe8e9272d"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format json --param c=2",
-     0, "415e4ff6b3b6c65c649f15585bd8bd02c6ed4590c9fe0520266517760f4404c2"),
+     0, "8bed84a8156692603eb866eb923fd2c7cef18047cd4db08f0d484fcab96008f2"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format csv --param c=2",
      0, "005d24944e0b33790cfbc0ae71ab08f5f1b1c520f2524aaeb22688392ae815e5"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "fe41156d124bc06198aade19c0b2724bdbfb8365caf83720fa6b7961119c2962"),
+     0, "4aed7666d848fb34c3dbae6484c46abc6225b22dc224aa62a663b8223bb76483"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "3860b176ac986fd0420a96197173c7a6013eaab9965aaf11f471ee43697f12c1"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "573cb3a8d62ed9bc0d3885aa72e31a491d5010e2a021cbf8ff6c01e41f253d26"),
+     0, "4175144664a903247dff85855fd81fc0d58b94a4f58a23a63b1af8bcb9721e6f"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "00333736195a715bf87656883db68c62c0d88a3ab02f8e9b3e6f0684cce5c5f7"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 0 --format json --param a=2",
-     0, "0da69ea326c844c22fea073668da754da13de9da4bb3f1bb73d9ac1a8d2c170d"),
+     0, "0121f60228aed378a2f2559676ebde488a4e2ae4199d866582487b6a1caa11e0"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 0 --format csv --param a=2",
      0, "507fa655a049cf4dd62989fb4f2b79017e7b06f9dd3a8680d20177d384ef2ace"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 1 --format json --param a=2",
-     0, "ed7967d8efba0a95f32801f4bcc33951b2079a600a4612f63543c963cf4fbade"),
+     0, "be8ad97ddcb378a24a5adae907cf046de62a09313f2d543e844f2a13e81bc69a"),
     ("run --algo forest-hpartition --gen forest-union:n=256,a=2 --seed 1 --format csv --param a=2",
      0, "75140705e094ff69527cefab12143e5420b33cdb77fca52456af75a49776537b"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 0 --format json",
-     0, "c3a0223a161723ff0b88bec1f9cf32558c24507bc832afc7397e644d82d83a15"),
+     0, "6e8029802c7052a34e100796e36c8b8e00ea070a039532e867b71403c08b28ee"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 0 --format csv",
      0, "48e45d5c742ebb767689d792b17bc43797878b82578ee3c258886b527ce0d201"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 1 --format json",
-     0, "b6d0839d2af257662d90c45ce8336398d3b8bdd2eb4304bd937b46a03a711f0f"),
+     0, "d22b345081f1c898cff75b119b734ea926c6fc92eae36ba5220429e3f1dc52fa"),
     ("run --algo edge-random --gen gnp:n=128,p=0.04 --seed 1 --format csv",
      0, "8ed0122cb5e63705d07d0a20876e045a98180b0ce35ff7ed10d8d9379566db00"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 0 --format json",
-     0, "cd9440a73717bc3f3ec1200fb30829c46ad0ac2a0c5699d52a7721d42f5bd385"),
+     0, "1832b2fea8325eb3bb955598b214da99095a0422a84db74775179ebd3e0179ce"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 0 --format csv",
      0, "233031511e0be0c336a9c8b6732a8695c27eed64d9d61c4d194cb244a3fe42ee"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 1 --format json",
-     0, "a9c7b6ad3a0d32afdd2ae72cbc16dee05a439843f19b1fc252b511b392aa1935"),
+     0, "70fc48505c3e96c2cb5b471a0a2b2ba4058181adfcf46cef8684e3c44eab94e3"),
     ("run --algo edge-delta2 --gen gnp:n=128,p=0.04 --seed 1 --format csv",
      0, "4b9e219a5b1e0276e395a4b6a62d5b959efbd3774cdcd3657a4e3ccb65458288"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 0 --format json --param i=2",
-     0, "0580d7b8934597211d9eb41f4778b8cb2651971da508169d1721d50ac5fe312c"),
+     0, "a25f625796140413b45f46704bd709bc8800bf9e3c8ce2c81194e16cc6354c19"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 0 --format csv --param i=2",
      0, "1aeb9a111b04cdad7db10ac92d6643d172e3751184c674ee52d3c31484c8c270"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 1 --format json --param i=2",
-     0, "c82d319935bc1c00d8a50c16f93dccb592bbc82c6311fab20fe11bcc312755b6"),
+     0, "3cc2e0c0d3f512d34d679fcd4a7fafd562e9f198488478ad00b1ee0ed7146864"),
     ("run --algo kuhn-edge --gen gnp:n=256,p=0.04 --seed 1 --format csv --param i=2",
      0, "e4ed0de23051e527517639b43d10161b1c07871ad394cebfe94edc3e060022d5"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 0 --format json",
-     0, "aa266a60d5f132a7ba0d4e99ab80e73ecb9eb6774157e4a7c08ed2d78922245c"),
+     0, "22689a73f6a9fd67caad906e5ad46e9d3426b76a79c7d7fd726526dc65ee9be1"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 0 --format csv",
      0, "3e60467c53555a14cba84700f261b758d299c679b64340f2543250e9e775a6ec"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 1 --format json",
-     0, "2dc37ee406b229d3ec4802405d92a7bca3195ad5bd076124b0366d633ce56de4"),
+     0, "187e7041fb1b1992d28597bac893fb79ec76e09be0b271ab53c63d01b844021d"),
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "008497ac730cb36844b2a1070e1551a07afa1500cda402fa5c3854d71f52c1e3"),
     ("bench",
      0, "074cd580d29a918e068e1e81f5d2b1c2311fbc737260e76eb8c51eaf844073c4"),
     ("run --algo cv3-expansion --gen path:n=0 --seed 0",
-     0, "56fb09afd72a54d475062e42797119cd19177ad97a08707f710d22b14f443892"),
+     0, "6c2a0c0b820dc3ee7e700ff288bb58d86383079fa299ed04ec7af79c1be2f9a5"),
     ("run --algo random-coloring --gen path:n=0 --seed 0",
-     0, "90a35ea5196ac84c74cf6e616d9d58ea29ddb17f5446f47a398165ae0a41b5cb"),
+     0, "c24bd4387b0b83be53fe06cd00839b0ca83c685db677ec8528bbb1a8feffa70f"),
     ("run --algo delta2-coloring --gen path:n=0 --seed 0",
-     0, "133658b019a05791b48fe32edaa9d8135ed91ed831e44b37bc657ad404d15764"),
+     0, "5a6f5b3969820c074e37b4a145c7002b8153f98b1d03095aef217c6d41985e72"),
     ("run --algo defective-coloring --gen path:n=0 --seed 0 --param p=1",
-     0, "25adcbcfa137cb392f2f544f9b61cd1027a4bfda890501212051dc674cdedfbb"),
+     0, "b074b4390791fa0caae3f3c1af5d626dfbebdfc744d46d3edaccece218d824be"),
     ("run --algo arboricity-coloring --gen path:n=0 --seed 0 --param a=2",
-     0, "d481a62b2f9c1d40b9cef57714e810278b1c9e697be1864b9b7862007695ebca"),
+     0, "8a05ba8610ad1d4e899c1cfc321d8f5090e0f67da2cf0c95ca6766ad2ab86bb6"),
     ("run --algo network-decomposition --gen path:n=0 --seed 0",
-     0, "193bdbedadbadf7a9cb4e1e50d43a3812b2dfcc8d8f42d9d956d637f2ddd31e9"),
+     0, "6ed8bcfbe3617baaafc0373af32e4bf59570456fe43da9f944a73fd8399132be"),
     ("run --algo forest-id --gen path:n=0 --seed 0",
-     0, "aa8194ffbabdbf6be7ffccbc8b71e0c0b8d406e8319e03b6a85d635935d7c6c5"),
+     0, "536e4c6370c1f3ca2838e666af3e2293d5b898a9718cde71e6da49252f02e817"),
     ("run --algo forest-hpartition --gen path:n=0 --seed 0 --param a=2",
-     0, "7077ca2e91188c76e2751fe3969a8ca03f2126a720b42443e82d3e69539fd8ad"),
+     0, "fa471defa2a8a6d0b4d465551e36ba2e4e769847f568add033d9633f682523df"),
     ("run --algo edge-random --gen path:n=0 --seed 0",
-     0, "8e5ba0e7dd9bfdb949908e668271903c89cc9e6ea7886472d1afb60168700c25"),
+     0, "f8251dbd6b1616e2b407724efc824ebc588ada523e16b905613cea9ec8cf5337"),
     ("run --algo edge-delta2 --gen path:n=0 --seed 0",
-     0, "1db75615fa9cd42f34997f5b3a89a01c8d8ee8f5125dd967bd2f9cf54f7f3f15"),
+     0, "b8bfd5eaa457cfd9db09a421aa64b849f484ce0cbb2a806e6b9509da2b9f1f2d"),
     ("run --algo kuhn-edge --gen path:n=0 --seed 0 --param i=1",
-     0, "6c2e4728b17841e36f532d4a0279fa87dfd7763e35f2c30908dcb69201e81019"),
+     0, "c966a617ed271148c853c9e73cc5da3557160d3ae400adb2fb95ca978943fef9"),
     ("run --algo dominating-edge --gen path:n=0 --seed 0",
-     0, "cca9b232313434fdea69cc8d1ab45867249df9e1f05bc3a7ca0be23416b3913d"),
+     0, "113728118c615bfa06a703cd6d8e924e5caefca2fde80e3109658f82a51458c2"),
     ("run --algo cv3-expansion --gen path:n=1 --seed 0",
-     0, "d3c872e63b9cf01a0e8ec494f8fe6854529e64967afc37c8b529c92a175831cc"),
+     0, "7110e9ffc94a2508b193ce648cafac0a10b0d5dbb7598f07a1e8cbf4264651b3"),
     ("run --algo random-coloring --gen path:n=1 --seed 0",
-     0, "9c4099c034c45d2ab52ce2a36f98de939f57ea88704994c28a002df42cea4884"),
+     0, "8f316ac15ec6d179a7e73ccf840928a84b2f0b77251b7f3de2f83110732c6059"),
     ("run --algo delta2-coloring --gen path:n=1 --seed 0",
-     0, "b5196b20959a69cd0b64dca123d9499bedfc1af57f2cb06b86cf94751311c094"),
+     0, "36a2267e1ffd5d27d4104bf1fdf06d9bbdb585e94bcb25eb3f9d20be735306e9"),
     ("run --algo defective-coloring --gen path:n=1 --seed 0 --param p=1",
-     0, "650e95a962e367e3a45dac461fd03da823c6a9cc92cf771dcf8f6e17313d312e"),
+     0, "f905c275aaad6d3d012fda3133d30ea64404593724ba6fd6b665ced9142fbd9e"),
     ("run --algo arboricity-coloring --gen path:n=1 --seed 0 --param a=2",
-     0, "e411478eb7d19c32e451814c606405b6f7addfa12ae12fc47f978fec77af02fa"),
+     0, "b831ec134ee124f388db0a99b7af781798247b7c6f1df8decfd26d23fed166e0"),
     ("run --algo network-decomposition --gen path:n=1 --seed 0",
-     0, "ad53928958db0f672eb4caa72fe7b62aaece6d3c8c6d8696096aa538f3855ad2"),
+     0, "e5987504dd882b472219990e89c82a8c938ba03ea8951be15b1433d98007f818"),
     ("run --algo forest-id --gen path:n=1 --seed 0",
-     0, "5e974759fdd40f00fd08c596566b8542f83767f6b545f3e209518ea01cf8c67a"),
+     0, "bc4a2b694f93c64a5759223ceb446ab076ab1e54b5ad9d33e935e8655875be49"),
     ("run --algo forest-hpartition --gen path:n=1 --seed 0 --param a=2",
-     0, "c44c7fa04aa7fcb98ab586896ddf10993d32ab2885273863392ca5db74b714ea"),
+     0, "c6e3b9cbbe647fa253a6d1e832a3f32a31715dbc382a57cb56aa160500fe1a0b"),
     ("run --algo edge-random --gen path:n=1 --seed 0",
-     0, "8d9b61d692ea6204d842f1f26ac7ade79242adc3ec914ef56b706f4cf643a21d"),
+     0, "0c2f4aed5121bda2ebbb0a1e02dcd10a917aca2c2625d0eef450cb891a32500b"),
     ("run --algo edge-delta2 --gen path:n=1 --seed 0",
-     0, "4c881e8ddb1b221df570116d28e23960be07a2256b91b72a558bf6f8b364b15a"),
+     0, "11da8f5bf093ae86813963cdadc344455c15c41727478a94cf0dd6b8b9d5e56a"),
     ("run --algo kuhn-edge --gen path:n=1 --seed 0 --param i=1",
-     0, "dd8e3239740324c8b8ef8972eea75493267b930a09d148382f47162a6bc91a5c"),
+     0, "988b88474cccd0e09341b74a364b9b1d0da6c0c1cb57028f4b49512ef95e703a"),
     ("run --algo dominating-edge --gen path:n=1 --seed 0",
-     0, "b1a6447309ae36fb0eaa3e6fc3da1325b0cf785c098a8557410087cea577e9e1"),
+     0, "85aed90d71e82238c7d2474208020409adbeeb05ec806f34f1d99e560b6fe962"),
     ("run --algo cv3-expansion --gen clique:n=2 --seed 0",
-     0, "affec9d3dacb3e04be3b2e668ff4eb3a54eda350ba1a4b3b7f7c7e881d6f0883"),
+     0, "4376b8912678616fa40fb0c9d004d9199683a53d587854b5b974b5fee5f067a4"),
     ("run --algo random-coloring --gen clique:n=2 --seed 0",
-     0, "eb7c73c52985f964b9c54481a4a5c9cbe1ebda7b8d78efe4f4a2da58fd653bdb"),
+     0, "4a8346a850b6e06e8dafab9e4fe554f71ca11f5e0184e1e96f43744cc4cb7c5d"),
     ("run --algo delta2-coloring --gen clique:n=2 --seed 0",
-     0, "495dd55d3e9504f5387eaf6586459d04e8b8d1b84a59cbc172234f185f7bcf9c"),
+     0, "9aa354215ae67e6f6ce9aef28ad0d221924ccd32f315ccb25884d6b4ee076391"),
     ("run --algo defective-coloring --gen clique:n=2 --seed 0 --param p=1",
-     0, "6d55e3d5711865fb849f9cf34efd207a5da00c978a95349afc8da5751518f377"),
+     0, "2898fbe941d479ad375d45921b5e7c7694ab3f295fc3004c7ef15c012ca35ac5"),
     ("run --algo arboricity-coloring --gen clique:n=2 --seed 0 --param a=2",
-     0, "0eb271b4b0315a7db152459b88c227b219028464cd69bf2900814c9f582a0a03"),
+     0, "338995d14563ab2b2918d7fcdbb0930a701bcd6f5bf48af1521e9381f506ae54"),
     ("run --algo network-decomposition --gen clique:n=2 --seed 0",
-     0, "b14164ac4e87e528d1c41ab48ea13ed7d69b21834b7cd924416c5942c07402cc"),
+     0, "788dfa4d62c7e96e0ad18af07136688d3c85eb5f4d3c10e6d9ffa6ae07be3b35"),
     ("run --algo forest-id --gen clique:n=2 --seed 0",
-     0, "8f43926071cbcaca7c8801a97f4cf24071f9ac5212f4fc870a9af0b817c9089e"),
+     0, "c6f0f10ec6a6c35c831ac9a72019352904f147277e2d955a06bec4ef93216994"),
     ("run --algo forest-hpartition --gen clique:n=2 --seed 0 --param a=2",
-     0, "00c8e398efe3e33098852626770f8bb24b0b808bf37d54ec8e2d9aeb657b9b62"),
+     0, "7ccf901e7b8486e58c7e112fa51dce9752abf2809ba2fa3d1fdb8a1d5360b732"),
     ("run --algo edge-random --gen clique:n=2 --seed 0",
-     0, "ae95a4104a4a323a443e2c64398c70367125aa4779491e7699c8c6e4453d9b67"),
+     0, "0ba417471480afdbd2a012c67ccf7ca01f230c55156266611e8c943cdd84cba2"),
     ("run --algo edge-delta2 --gen clique:n=2 --seed 0",
-     0, "3cca957cf01d0b2da5f8fe8faa0b982fc5947f758312acc520c51e78f963b8da"),
+     0, "25cd95ce32d448c5df8ca64df3a312785cbc7e1b83728972a50e6d3db3c76fea"),
     ("run --algo kuhn-edge --gen clique:n=2 --seed 0 --param i=1",
-     0, "ecbb9ddac2c9a903a969fe3c4c32a62fa08539e106b435c3b6fff68e96adac02"),
+     0, "b0d6ede09eca28054a31c5e1de9dc12f01bc07d5073b2f5624807dd49f28f809"),
     ("run --algo dominating-edge --gen clique:n=2 --seed 0",
-     0, "411739f201712df216ef9b689a48a30df5ecab1c104135dc9c7d2a8175c6a76a"),
+     0, "63938933e449c05a07c1a9bf51206507f80419a460c144f5720a15e08630bdc2"),
 ]
 
 

@@ -232,22 +232,29 @@ class TestNetworkDecomposition:
 class TestMetrics:
     def test_simple_ratio(self):
         dom = vdom(9, {0, 1, 2}, {3, 4, 5, 6})
-        rep = metrics(dom)
+        rep = metrics(dom.palette, dom.sizes())
         assert rep["contingency_factor"] == "3/1"
         assert rep["solution_domain_min"] == 3
         assert rep["solution_domain_max"] == 4
 
     def test_forest_view_contingency_one(self):
-        dom = LabelDomain(kind="edge", palette=3,
-                          domains={e: frozenset({0, 1, 2}) for e in range(5)})
-        assert metrics(dom)["contingency_factor"] == "1/1"
+        """Five edges that may each take any of 3 labels."""
+        assert metrics(3, [3] * 5)["contingency_factor"] == "1/1"
+
+    def test_no_entity_contingency_zero(self):
+        doc = metrics(1, [])
+        assert (doc["solution_domain_min"], doc["contingency_factor"]) == (0, "0/1")
 
     def test_document_shape(self):
-        doc = metrics(vdom(6, {0, 1}, {2, 3, 4}))
-        assert doc["contingency_factor"] == "3/1"
+        dom = vdom(6, {0, 1}, {2, 3, 4})
+        doc = metrics(dom.palette, dom.sizes(), [Verdict(name="x", ok=True)])
+        assert doc == {"problem_domain_size": 6, "solution_domain_min": 2,
+                       "solution_domain_median": 2, "solution_domain_max": 3,
+                       "contingency_factor": "3/1",
+                       "verdicts": [{"name": "x", "ok": True, "status": "ok"}]}
         assert list(doc) == ["problem_domain_size", "solution_domain_min",
                              "solution_domain_median", "solution_domain_max",
-                             "contingency_factor", "contingency_factor_float", "verdicts"]
+                             "contingency_factor", "verdicts"]
 
 
 def test_checkers_do_not_import_algorithm_modules():

@@ -71,7 +71,7 @@ class TestExpand:
         g = generate(GeneratorSpec("path", 3))
         res = cole_vishkin_3coloring(g, orient_forest(g))
         dom = expand_to_generic(res.colors, delta=2)
-        assert metrics(dom)["contingency_factor"] == "3/1"
+        assert metrics(dom.palette, dom.sizes())["contingency_factor"] == "3/1"
         assert all(len(d) == 2 for d in dom.domains.values())
 
     def test_rejects_bad_delta(self):
@@ -142,7 +142,8 @@ class TestRandomColoring:
 
     def test_palette_and_stride(self, k4):
         res = generic_random_coloring(k4, c=4.0, seed=2)
-        assert res.domains.palette == res.params["value_range"] * res.params["k"]
+        assert res.domains.stride == 2 * res.params["delta"]
+        assert res.domains.palette == res.domains.stride * res.params["k"]
         res.domains.validate()
 
     def test_rejects_low_delta_bound(self, k4):
@@ -233,7 +234,7 @@ class TestDelta2:
         delta = g.max_degree
         res = generic_delta2_coloring(g)
         q_f = smallest_prime_geq(max(3 * delta, 2))
-        assert res.params["q_final"] == q_f
+        assert res.domains.stride == q_f
         assert res.domains.palette == q_f * q_f
         assert res.domains.min_size >= delta
         assert check_domains_disjoint(g, res.domains).ok
@@ -276,7 +277,7 @@ class TestDefective:
         verdict, _ = check_defective_domains(g, res.domains, p)
         assert verdict.ok
         assert res.domains.min_size >= res.params["domain_floor"]
-        assert res.domains.palette == res.params["q_final"] ** 2
+        assert res.domains.palette == res.domains.stride ** 2
 
     def test_clique_counting_bound(self):
         """On K_{Delta+1} each label can sit in at most p+1 domains, so the
