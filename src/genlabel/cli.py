@@ -173,13 +173,13 @@ def _network_decomposition(g: Graph, seed: int, params: dict):
     params = dict(params)
     budget = params.pop("label_budget", None)
     radius_cap = params.pop("B", None)
+    if budget is not None and budget < 1:
+        raise ConfigError(f"label_budget must be >= 1, got {budget}")
     res = generic_network_decomposition(g, seed=seed, radius_cap=radius_cap, **params)
     # the verifier's inputs come from the invocation; 2 is the entry point's c
     bound = 2 * (default_radius_cap(g.n) if radius_cap is None else radius_cap)
     if budget is None:
         budget = params.get("c", 2) * max(1, math.ceil(4 * math.log2(max(g.n, 2))))
-    elif budget < 1:
-        raise ConfigError(f"label_budget must be >= 1, got {budget}")
     verdict, measured = verify.check_network_decomposition(
         g, res.domains, bound, budget)
     return _body(res.params, res.report, [verdict], res.domains, res.failed, {

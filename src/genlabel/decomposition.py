@@ -277,7 +277,8 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
     if not 0 < eps <= 2:
         raise ValueError(f"eps must be in (0, 2], got {eps}")
     threshold = (2 + eps) * a
-    cap = (math.floor((2 / eps) * math.log2(g.n)) + 1) if g.n >= 2 else 1
+    # at most n layers peel, so the min changes no outcome; 2/eps may be inf
+    cap = (math.floor(min((2 / eps) * math.log2(g.n), g.n)) + 1) if g.n >= 2 else 1
     degree = [g.degree(v) for v in range(g.n)]
     layer = [0] * g.n
     remaining = set(range(g.n))

@@ -199,7 +199,10 @@ def _gnp(n: int, p: float, seed: int) -> Graph:
 
     while True:
         r = rng.draw_float()
-        idx += 1 + int(math.log(1.0 - r) / log_q)
+        skip = math.log(1.0 - r) / log_q  # inf when p is subnormal
+        if skip >= total:
+            break
+        idx += 1 + int(skip)
         if idx >= total:
             break
         # invert lexicographic pair index -> (u, v) via the row quadratic

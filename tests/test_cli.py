@@ -269,6 +269,15 @@ class TestRun:
         main(base + ["--param", "label_budget=1", "--out", str(out)])
         assert json.loads(out.read_text())["metrics"]["label_budget"] == 1
 
+    def test_label_budget_checked_before_the_run(self, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("ran before the label_budget check")
+
+        monkeypatch.setattr(cli, "generic_network_decomposition", unreachable)
+        assert main(["run", "--algo", "network-decomposition", "--gen", "gnp:n=32,p=0.1",
+                     "--param", "label_budget=0"]) == EXIT_CONFIG
+        assert "label_budget must be >= 1" in capsys.readouterr().err
+
     def test_network_decomposition_defaults_are_the_entry_points(self, monkeypatch):
         """Without B, c and label_budget the verifier gets the diameter bound
         2*default_radius_cap(n) and the budget c*ceil(4*log2 n), for
@@ -775,7 +784,8 @@ class TestReportV3:
 
 
 SWEEP_GRAPHS = ["path:n=0", "path:n=1", "path:n=2", "clique:n=3", "gnp:n=6,p=0",
-                "random-tree:n=7", "forest-union:n=5,a=1", "STAR"]
+                "gnp:n=6,p=5e-324", "random-tree:n=7", "forest-union:n=5,a=1"]
+SWEEP_STARS = [4, 5]  # leaf counts of the star edge-list files
 SWEEP_REQUIRED = {"defective-coloring": {"p": 1}, "arboricity-coloring": {"a": 1},
                   "forest-hpartition": {"a": 2}, "kuhn-edge": {"i": 1}}
 
@@ -784,8 +794,8 @@ def sweep_params(tag: str, max_degree: int) -> list[dict]:
     """The params a tag runs with in the sweep: none besides the required
     ones, then each extreme value of each optional key the tag has."""
     schema = ALGORITHMS[tag].schema
-    extremes = {"c": [{"c": 0.001}] + ([{"c": 1024, "B": 1}] if "B" in schema else []),
-                "eps": [{"eps": 2}, {"eps": 0.01}],
+    extremes = {"c": [{"c": 0.001}, {"c": 1024, **({"B": 1} if "B" in schema else {})}],
+                "eps": [{"eps": 2}, {"eps": 0.01}, {"eps": 5e-324}],
                 "delta": [{"delta": max_degree}],
                 "i": [{"i": max_degree}]}
     variants = [{}] + [extra for key in schema for extra in extremes.get(key, [])]
@@ -799,13 +809,12 @@ class TestDegenerateSweep:
 
     @pytest.mark.parametrize("tag", list(ALGORITHMS))
     def test_tag(self, tag, tmp_path, capsys):
-        star = tmp_path / "star.edges"
-        star.write_text("0 1\n0 2\n0 3\n0 4\n")
-        for source in SWEEP_GRAPHS:
-            if source == "STAR":
-                g, args = load_edge_list(star.read_text()), ["--graph", str(star)]
-            else:
-                g, args = generate(parse_gen_spec(source)), ["--gen", source]
+        inputs = [(generate(parse_gen_spec(s)), ["--gen", s]) for s in SWEEP_GRAPHS]
+        for leaves in SWEEP_STARS:
+            star = tmp_path / f"star{leaves}.edges"
+            star.write_text("".join(f"0 {v}\n" for v in range(1, leaves + 1)))
+            inputs.append((load_edge_list(star.read_text()), ["--graph", str(star)]))
+        for g, args in inputs:
             for params in sweep_params(tag, g.max_degree):
                 argv = ["run", "--algo", tag, *args,
                         *[f"--param={k}={v}" for k, v in params.items()]]

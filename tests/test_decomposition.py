@@ -157,6 +157,12 @@ class TestHPartition:
         hp = h_partition(g, a=1, eps=1)
         assert hp.layer_count <= math.floor(2 * math.log2(1024)) + 1
 
+    def test_subnormal_eps(self):
+        """eps=1e-320 makes 2/eps infinite; the layer cap stays finite and
+        the partition is the one any tiny eps gives."""
+        g = generate(GeneratorSpec("forest-union", 60, a=2, seed=1))
+        assert h_partition(g, a=2, eps=1e-320) == h_partition(g, a=2, eps=1e-300)
+
     def test_clique_violation_with_witness(self):
         g = generate(GeneratorSpec("clique", 8))
         with pytest.raises(ArboricityError) as exc:

@@ -122,6 +122,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate(GeneratorSpec("gnp", 5, p=1.5))
 
+    @pytest.mark.parametrize("p", [5e-324, 1e-310])
+    def test_gnp_subnormal_p_edgeless(self, p):
+        """A subnormal p makes every geometric skip infinite: no edge, and no
+        overflow converting the skip to an int."""
+        assert generate(GeneratorSpec("gnp", 100, p=p)).m == 0
+
     def test_deterministic(self):
         a = generate(GeneratorSpec("gnp", 50, p=0.1, seed=9))
         b = generate(GeneratorSpec("gnp", 50, p=0.1, seed=9))

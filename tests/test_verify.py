@@ -1,3 +1,4 @@
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -58,9 +59,25 @@ class TestDisjoint:
         v = check_domains_disjoint(g, vdom(5, {1}, set()))
         assert not v.ok and v.status == "degenerate"
 
-    def test_exhaustive_sweep_on_path4(self, path4):
+    def test_disjoint_path4(self, path4):
         dom = vdom(8, {0, 1}, {2, 3}, {4, 5}, {6, 7})
-        assert check_domains_disjoint(path4, dom).ok  # sweeps all 2^4 picks
+        assert check_domains_disjoint(path4, dom).ok
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_joint_selection(self, data):
+        """The structural check against its meaning: domains pass exactly
+        when every joint selection, one label per vertex, is proper."""
+        n = data.draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph.from_edges(n, edges)
+        sets = [data.draw(st.frozensets(st.integers(0, 3), min_size=1, max_size=3))
+                for _ in range(n)]
+        dom = vdom(4, *sets)
+        picks = product(*(sorted(dom.domains[v]) for v in range(g.n)))
+        assert check_domains_disjoint(g, dom).ok == \
+            all(check_proper_vertex(g, list(pick)).ok for pick in picks)
 
 
 class TestDefective:
@@ -258,18 +275,21 @@ class TestMetrics:
 
 
 def test_checkers_do_not_import_algorithm_modules():
-    """Dependency direction: the checker module must stay independent of the
-    algorithm modules so it can serve as their oracle."""
+    """Dependency direction: the checker module imports only the graph and
+    label-domain types from the package, no algorithm module and no RNG, so
+    it can serve as the algorithms' oracle."""
     import ast
 
     import genlabel.verify as verify_mod
 
     tree = ast.parse(open(verify_mod.__file__).read())
-    imported = set()
+    package = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            assert not any(a.name.startswith("genlabel") for a in node.names)
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-    banned = {"vertex_coloring", "decomposition", "edge_coloring", "runtime"}
-    assert not {m.split(".")[-1] for m in imported} & banned
+            if node.level:
+                package.add(node.module)
+            else:
+                assert not (node.module or "").startswith("genlabel")
+    assert package == {"graphs", "labels"}
