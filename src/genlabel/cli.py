@@ -33,7 +33,7 @@ from .edge_coloring import (
 )
 from .graphs import GENERATOR_KINDS, GeneratorSpec, Graph, generate, load_edge_list, orient_forest
 from .labels import LabelDomain
-from .runtime import RunReport
+from .runtime import RunReport, collector_paused
 from .vertex_coloring import (
     cole_vishkin_3coloring,
     expand_to_generic,
@@ -407,19 +407,22 @@ def _emit(payload: str, out: str | None) -> bool:
 
 
 def cmd_run(args) -> int:
-    try:
-        params = parse_params(args.algo, args.param or [])
-        g, source = _graph_from_args(args, args.seed)
-        doc = build_report(args.algo, g, source, args.seed, params)
-    except ArboricityError as exc:
-        print(f"error: {exc} (witness: {list(exc.witness)[:16]}...)", file=sys.stderr)
-        return EXIT_VERDICT
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not _emit((to_json(doc) + "\n") if args.format == "json"
-                 else report_to_csv(doc), args.out):
-        return EXIT_CONFIG
+    # Building and writing a report allocates tens of thousands of containers
+    # and no reference cycles worth a pass, so the collector waits, as in run_sync.
+    with collector_paused():
+        try:
+            params = parse_params(args.algo, args.param or [])
+            g, source = _graph_from_args(args, args.seed)
+            doc = build_report(args.algo, g, source, args.seed, params)
+        except ArboricityError as exc:
+            print(f"error: {exc} (witness: {list(exc.witness)[:16]}...)", file=sys.stderr)
+            return EXIT_VERDICT
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        if not _emit((to_json(doc) + "\n") if args.format == "json"
+                     else report_to_csv(doc), args.out):
+            return EXIT_CONFIG
     if doc["status"] == "incomplete":
         return EXIT_INCOMPLETE
     if doc["status"] == "verdict-failure":

@@ -57,8 +57,11 @@ class PolyFamily:
     """The q^(d+1) point sets of all polynomials of degree <= d over GF(q).
 
     ``elements`` computes each point set once and keeps it for the lifetime
-    of the instance; the memo is not part of equality, hashing or repr.  A
-    pipeline run builds its own families, so its memo ends with the run.
+    of the instance; the memo is not part of equality, hashing or repr.  Its
+    callers are the cover-free oracles and the pipeline's reduction steps; a
+    pipeline run builds its own families, so their memo ends with the run.
+    The pipeline's residual round builds no point set: it counts the roots
+    of polynomial differences instead.
     """
 
     q: int

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from operator import add
 
-from .coverfree import PolyFamily, residual_elements, smallest_prime_geq
+from .coverfree import PolyFamily, smallest_prime_geq
 from .graphs import Graph, Orientation, log_star
 from .labels import MAX_DELTA, LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
@@ -273,19 +273,66 @@ def _pick_reduction(n_colors: int, delta: int) -> tuple[int, int] | None:
     return best
 
 
+def _field_tables(q: int) -> tuple[list[int], dict[int, int]]:
+    """The inverse of each nonzero element of GF(q), q prime (index 0 unused),
+    and one square root of each square."""
+    inverse = [0, 1]
+    for x in range(2, q):
+        inverse.append(-(q // x) * inverse[q % x] % q)
+    return inverse, {x * x % q: x for x in range(q)}
+
+
+def _residual_by_roots(q: int, color: int, others, rho: int, tables) -> list[int]:
+    """``residual_elements(PolyFamily(q, 2), color, others, rho)``, with no
+    point set built.
+
+    S_g and S_h meet exactly at the roots of g - h, and a nonzero polynomial
+    of degree <= 2 has at most two, so each of ``others`` (counted with
+    multiplicity, none equal to ``color``) adds its roots to the hit counts in
+    O(1) field operations.  ``tables`` is ``_field_tables(q)``.
+    """
+    inverse, sqrt = tables
+    rest, g0 = divmod(color, q)
+    g2, g1 = divmod(rest, q)
+    hits = [0] * q
+    for h in others:
+        rest, h0 = divmod(h, q)
+        h2, h1 = divmod(rest, q)
+        a0, a1, a2 = (g0 - h0) % q, (g1 - h1) % q, (g2 - h2) % q
+        if not a2:
+            if a1:
+                hits[-a0 * inverse[a1] % q] += 1
+            elif not a0:
+                raise ValueError("color must not appear among the others")
+        elif q == 2:  # 2*a2 has no inverse: test both points
+            for x in (0, 1):
+                hits[x] += (a0 + (a1 + a2) * x) % 2 == 0
+        else:
+            root = sqrt.get((a1 * a1 - 4 * a2 * a0) % q)
+            if root is not None:
+                half = inverse[2 * a2 % q]
+                hits[(root - a1) * half % q] += 1
+                if root:
+                    hits[(-root - a1) * half % q] += 1
+    return [a * q + ((g2 * a + g1) * a + g0) % q
+            for a, count in enumerate(hits) if count <= rho]
+
+
 class _PipelineProgram(NodeProgram):
     """Iterated cover-free color reduction ending in a residual-set round.
 
     Starts from the id-coloring; each round vertices exchange current colors
     and re-color to the smallest element of their polynomial point set not
     covered by any neighbor's set.  The last round keeps, instead of one
-    element, every element covered at most ``rho`` times.
+    element, every element of the degree-2 family over GF(q_final) covered at
+    most ``rho`` times, counted by ``_residual_by_roots``.
     """
 
-    def __init__(self, steps: list[tuple[int, int]], final: PolyFamily, rho: int):
+    def __init__(self, steps: list[tuple[int, int]], q_final: int, rho: int):
         self.steps = steps
         self.families = [PolyFamily(q=q, d=d) for d, q in steps]
-        self.final = final
+        self.q_final = q_final
+        self.tables = _field_tables(q_final)
         self.rho = rho
 
     def init(self, ctx: NodeContext):
@@ -299,7 +346,8 @@ class _PipelineProgram(NodeProgram):
                                   [c for _, c in inbox])
         if r == t + 1:
             others = [c for _, c in inbox if c != color]
-            domain = residual_elements(self.final, color, others, self.rho)
+            domain = _residual_by_roots(self.q_final, color, others, self.rho,
+                                        self.tables)
             return [r + 1, color, domain], [], True
         return [r + 1, color, domain], [(u, color) for u in ctx.neighbors], False
 
@@ -337,8 +385,7 @@ def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
                          f"cover-free pipeline, got {delta}")
     base_prime = smallest_prime_geq(max(-(-3 * delta // (rho + 1)), 2))
     steps, final_prime = _plan_pipeline(g.n, delta, base_prime)
-    final = PolyFamily(q=final_prime, d=2)
-    program = _PipelineProgram(steps, final, rho)
+    program = _PipelineProgram(steps, final_prime, rho)
     report = run_sync(program, g, seed, max_rounds=len(steps) + 2)
     domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
     dom = LabelDomain(kind="vertex", domains=domains, palette=final_prime**2,

@@ -1,4 +1,5 @@
 import enum
+import gc
 import inspect
 import json
 import math
@@ -277,6 +278,21 @@ class TestRun:
         assert main(["run", "--algo", "network-decomposition", "--gen", "gnp:n=32,p=0.1",
                      "--param", "label_budget=0"]) == EXIT_CONFIG
         assert "label_budget must be >= 1" in capsys.readouterr().err
+
+    def test_collector_paused_through_report_and_emit(self, monkeypatch):
+        """cmd_run builds and writes its report with the cyclic collector
+        paused, and restores it afterwards."""
+        seen = []
+        for name in ("build_report", "_emit"):
+            def spy(*args, _real=getattr(cli, name), **kwargs):
+                seen.append(gc.isenabled())
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        assert gc.isenabled()
+        assert main(["run", "--algo", "delta2-coloring", "--gen", "path:n=5",
+                     "--out", os.devnull]) == EXIT_OK
+        assert seen == [False, False] and gc.isenabled()
 
     def test_network_decomposition_defaults_are_the_entry_points(self, monkeypatch):
         """Without B, c and label_budget the verifier gets the diameter bound

@@ -16,6 +16,7 @@ from genlabel import (
     verify_cover_free,
 )
 from genlabel.coverfree import ExhaustiveBudgetError, is_prime
+from genlabel.vertex_coloring import _field_tables, _residual_by_roots
 
 
 def naive_set(q, d, index):
@@ -155,6 +156,24 @@ class TestResidual:
             assert residual_elements(fam, s0, others, rho=1)
 
 
+class TestResidualByRoots:
+    """The pipeline's residual round against the point-set oracle."""
+
+    @given(st.data(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_residual_elements(self, data, q, rho):
+        n = q**3
+        color = data.draw(st.integers(0, n - 1))
+        pool = st.integers(0, n - 1).filter(lambda j: j != color)
+        others = data.draw(st.lists(pool, max_size=2 * q))
+        assert _residual_by_roots(q, color, others, rho, _field_tables(q)) == (
+            residual_elements(PolyFamily(q, 2), color, others, rho))
+
+    def test_color_in_others_rejected(self):
+        with pytest.raises(ValueError):
+            _residual_by_roots(5, 7, [3, 7], 0, _field_tables(5))
+
+
 class TestVerifyCoverFree:
     def test_exhaustive_d1_q5(self):
         fam = PolyFamily(q=5, d=1)
@@ -199,8 +218,9 @@ class TestFamilyMemo:
         lambda g: generic_defective_coloring(g, p=1),
     ], ids=["delta2", "defective"])
     def test_pipeline_computes_each_set_once(self, monkeypatch, run):
-        """Every (family instance, index) point set is computed at most once
-        per run, over the reduction steps and the residual round alike."""
+        """Only the reduction steps build point sets, one family instance per
+        step, and each (family instance, index) set at most once per run; the
+        residual round counts roots and builds none."""
         calls = Counter()
         families = []  # kept alive so that id() stays unique
         original = PolyFamily.set_elements
@@ -213,6 +233,8 @@ class TestFamilyMemo:
         monkeypatch.setattr(PolyFamily, "set_elements", counted)
         g = generate(GeneratorSpec("random-tree", 2000, max_deg=3, seed=3))
         res = run(g)
-        assert res.params["reduction_steps"] and not res.failed
-        assert len({id(f) for f in families}) > 1
-        assert calls and max(calls.values()) == 1
+        steps = res.params["reduction_steps"]
+        assert steps and not res.failed
+        assert len({id(f) for f in families}) == len(steps)
+        assert {(f.d, f.q) for f in families} == {tuple(s) for s in steps}
+        assert max(calls.values()) == 1

@@ -4,7 +4,8 @@ Each case is one `genlabel run` or `genlabel bench` invocation on generated
 graphs only, so no file path enters its output.  It is pinned to its exit
 code and the sha256 of the bytes it writes: every row of the built-in bench
 suite for seeds 0 and 1 in both formats, the default bench table, and every
-tag on the degenerate graphs path:n=0, path:n=1 and clique:n=2.  A change
+tag on the degenerate graphs path:n=0, path:n=1 and clique:n=2, and two
+cover-free pipeline runs on path:n=400 that take reduction steps.  A change
 that is meant to keep reports byte-identical must leave every case passing.
 
 Run this file as a script to print the cases with the digests of the code
@@ -193,6 +194,12 @@ CASES = [
      0, "b0d6ede09eca28054a31c5e1de9dc12f01bc07d5073b2f5624807dd49f28f809"),
     ("run --algo dominating-edge --gen clique:n=2 --seed 0",
      0, "63938933e449c05a07c1a9bf51206507f80419a460c144f5720a15e08630bdc2"),
+    # reduction steps [[2, 11]], then the residual round
+    ("run --algo delta2-coloring --gen path:n=400 --seed 0 --format json",
+     0, "af040fe0ac1c5dd4fa72b56022489f726540fb437e31f5340096f20920da9b21"),
+    # reduction steps [[2, 11], [2, 7]], then the residual round with rho = 1
+    ("run --algo defective-coloring --gen path:n=400 --seed 0 --format json --param p=1",
+     0, "323ffddab6d61041e1e71c08f328a2126b196f844aed2d8e89c25a901625973b"),
 ]
 
 

@@ -1,8 +1,12 @@
 """The benchmark's tracer (perfbench/layers.py) rebinds genlabel functions by
 name from outside the package.  These tests run it in a child process over
-four golden invocations: the traced reports must equal the goldens, and each
+five golden invocations: the traced reports must equal the goldens, and each
 traced layer must record work, so a refactor that renames or bypasses a
-rebound name fails here instead of silently zeroing a per-layer metric."""
+rebound name fails here instead of silently zeroing a per-layer metric.
+
+The fifth invocation, delta2-coloring on path:n=400, takes a reduction step:
+the residual round counts polynomial roots and builds no point set, so only
+the reduction steps still call ``PolyFamily.set_elements``."""
 
 import json
 import os
@@ -15,8 +19,10 @@ from test_golden_reports import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 TAGS = ("random-coloring", "network-decomposition", "dominating-edge", "edge-delta2")
+REDUCING = "run --algo delta2-coloring --gen path:n=400 --seed 0 --format json"
 TRACED = [case for case in CASES for tag in TAGS
           if case[0].startswith(f"run --algo {tag} ") and "--seed 0 --format json" in case[0]]
+TRACED += [case for case in CASES if case[0] == REDUCING]
 LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s",
           "decomposition.flood_messages", "decomposition.phases", "graphs.line_graph_s",
           "coverfree.set_elements_calls", "verify.check_s",
@@ -42,7 +48,7 @@ print(json.dumps({"results": results, "setup": tracer.setup}))
 
 
 def test_traced_reports_match_goldens_and_layers_record(tmp_path):
-    assert len(TRACED) == len(TAGS)
+    assert len(TRACED) == len(TAGS) + 1
     src = Path(genlabel.__file__).resolve().parents[1]
     commands = [command for command, _, _ in TRACED]
     proc = subprocess.run(
