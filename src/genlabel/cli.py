@@ -32,7 +32,7 @@ from .edge_coloring import (
     kuhn_defective_edge_coloring,
 )
 from .graphs import GENERATOR_KINDS, GeneratorSpec, Graph, generate, load_edge_list, orient_forest
-from .labels import LabelDomain
+from .labels import IntLists, LabelDomain
 from .runtime import RunReport, collector_paused
 from .vertex_coloring import (
     cole_vishkin_3coloring,
@@ -360,7 +360,8 @@ def to_json(doc, newline: str = "\n") -> str:
     as ``[1, 5, 9]``; parsed, it is ``json.dumps(doc)``.  Exact ints and strs,
     the bulk of a report, are written here, without the pure-Python encoder
     that ``indent`` falls back to; containers follow json's isinstance rules,
-    and every other value goes through ``json.dumps``.  ``newline`` is the
+    and every other value goes through ``json.dumps``; an ``IntLists``, such
+    as a report's label domains, is written in one join.  ``newline`` is the
     line break and indent of the enclosing level."""
     kind = type(doc)
     if kind is int:
@@ -368,6 +369,9 @@ def to_json(doc, newline: str = "\n") -> str:
     if kind is str:
         return encode_basestring_ascii(doc)
     inner = newline + "  "
+    if kind is IntLists and doc:
+        return "{" + inner + ("," + inner).join(
+            f'"{key}": {value!r}' for key, value in doc.items()) + newline + "}"
     if isinstance(doc, dict):
         if not doc:
             return "{}"
@@ -415,7 +419,8 @@ def cmd_run(args) -> int:
             g, source = _graph_from_args(args, args.seed)
             doc = build_report(args.algo, g, source, args.seed, params)
         except ArboricityError as exc:
-            print(f"error: {exc} (witness: {list(exc.witness)[:16]}...)", file=sys.stderr)
+            cut = "..." if len(exc.witness) > 16 else ""
+            print(f"error: {exc} (witness: {list(exc.witness)[:16]}{cut})", file=sys.stderr)
             return EXIT_VERDICT
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

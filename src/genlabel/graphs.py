@@ -9,7 +9,9 @@ safe to share read-only across threads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .rng import Stream, subseed
 
@@ -42,14 +44,19 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             canon.add((u, v) if u < v else (v, u))
-        edge_list = tuple(sorted(canon))
+        return Graph._from_sorted(n, tuple(sorted(canon)))
+
+    @staticmethod
+    def _from_sorted(n: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """The graph of canonical pairs in strictly increasing order.  Each
+        adjacency list comes out sorted: a vertex gets its lower neighbours,
+        then its higher ones, each in increasing order."""
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_list:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        adjacency = tuple(tuple(sorted(a)) for a in adj)
-        index = {e: i for i, e in enumerate(edge_list)}
-        return Graph(n=n, edges=edge_list, adjacency=adjacency, edge_index=index)
+        return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)),
+                     edge_index=dict(zip(edges, range(len(edges)))))
 
     @property
     def m(self) -> int:
@@ -58,9 +65,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[(u, v) if u < v else (v, u)]
@@ -73,7 +80,43 @@ def load_edge_list(text: str) -> Graph:
     vertex count; without it, n = max id + 1.  Lines starting with '#' or 'c'
     are comments.  Duplicate edges collapse; self-loops, out-of-range ids and
     a header below an earlier line's ids are rejected with their line number.
+    The canonical form that ``dump_edge_list`` writes is parsed in one pass;
+    any other text goes through the line parser.
     """
+    g = _load_canonical(text)
+    return g if g is not None else _load_lines(text)
+
+
+_CANONICAL_HEADER = re.compile(r"p ([0-9]+) [0-9]+")
+_CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+
+
+def _load_canonical(text: str) -> Graph | None:
+    """The graph of a canonical edge list (a "p n m" header, then strictly
+    increasing "u v" lines with u < v < n, each ending in a newline), or None
+    for any other text.  It equals ``_load_lines(text)``."""
+    head, _, rest = text.partition("\n")
+    header = _CANONICAL_HEADER.fullmatch(head)
+    if header is None or _CANONICAL_BODY.fullmatch(rest) is None:
+        return None
+    try:  # an id past int's digit limit is the line parser's error
+        n = int(header[1])
+        it = map(int, rest.split())
+        edges = tuple(zip(it, it))
+    except ValueError:
+        return None
+    if n > MAX_GRAPH_SIZE:
+        return None
+    prev = (-1, -1)
+    for e in edges:
+        if not (prev < e and e[0] < e[1] < n):
+            return None
+        prev = e
+    return Graph._from_sorted(n, edges)
+
+
+def _load_lines(text: str) -> Graph:
+    """``load_edge_list`` line by line: every form it accepts, and every error."""
     n_declared = None
     pairs: list[tuple[int, int]] = []
     max_id = -1

@@ -68,5 +68,11 @@ class LabelDomain:
             "kind": self.kind,
             "palette": self.palette,
             "stride": self.stride,
-            "domains": {str(k): sorted(self.domains[k]) for k in sorted(self.domains)},
+            "domains": IntLists({str(k): sorted(self.domains[k]) for k in sorted(self.domains)}),
         }
+
+
+class IntLists(dict):
+    """A dict from the decimal text of ints to lists of exact ints, such as
+    ``LabelDomain.to_document``'s domains; ``cli.to_json`` writes one in a
+    single join, without checking each key and value."""

@@ -39,7 +39,7 @@ from genlabel.decomposition import (
     generic_network_decomposition,
 )
 from genlabel.graphs import MAX_GRAPH_SIZE, MAX_LINE_GRAPH_EDGES
-from genlabel.labels import MAX_DELTA
+from genlabel.labels import MAX_DELTA, IntLists
 
 
 def run_cli(args, tmp_path=None):
@@ -149,6 +149,19 @@ class TestToJson:
     def test_named_cases(self, doc):
         assert to_json(doc) == reference_json(doc)
 
+    @given(st.dictionaries(st.integers(), st.lists(st.integers(), max_size=6), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_int_lists_equal_reference(self, raw):
+        lists = IntLists((str(k), v) for k, v in raw.items())
+        doc = {"labels": {"domains": lists}, "nested": [[lists]]}
+        assert to_json(doc) == reference_json(doc)
+
+    def test_label_domains_are_int_lists(self):
+        doc = LabelDomain("vertex", {2: frozenset({9, 4}), 0: frozenset()}, 10).to_document()
+        assert type(doc["domains"]) is IntLists
+        assert doc["domains"] == {"0": [], "2": [4, 9]}
+        assert list(doc["domains"]) == ["0", "2"]
+
     def test_int_list_is_one_line(self):
         assert to_json({"a": [1, 5, 9], "b": (7,)}) == '{\n  "a": [1, 5, 9],\n  "b": [7]\n}'
 
@@ -241,6 +254,17 @@ class TestRun:
         code = main(["run", "--algo", "arboricity-coloring",
                      "--gen", "clique:n=8", "--param", "a=1"])
         assert code == EXIT_VERDICT
+
+    @pytest.mark.parametrize("n,witness", [
+        (5, "[0, 1, 2, 3, 4])"),
+        (16, f"{list(range(16))})"),
+        (20, f"{list(range(16))}...)"),
+    ], ids=["short", "exactly-16", "cut"])
+    def test_arboricity_witness_ellipsis_only_when_cut(self, capsys, n, witness):
+        code = main(["run", "--algo", "arboricity-coloring",
+                     "--gen", f"clique:n={n}", "--param", "a=1"])
+        assert code == EXIT_VERDICT
+        assert capsys.readouterr().err.endswith(f"(witness: {witness}\n")
 
     @pytest.mark.parametrize("tag,gen,extra", [
         ("random-coloring", "gnp:n=16,p=0.2", []),

@@ -8,13 +8,14 @@ from genlabel import (
     dump_edge_list,
     forest_union_parts,
     generate,
+    graphs,
     line_graph,
     load_edge_list,
     log_star,
     orient_by_id,
     orient_forest,
 )
-from genlabel.graphs import EdgeListError
+from genlabel.graphs import MAX_GRAPH_SIZE, EdgeListError
 
 
 def is_acyclic_undirected(n, edges):
@@ -81,6 +82,20 @@ class TestEdgeList:
             load_edge_list(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text,message", [
+        ("p 3", "line 1: malformed header 'p 3'"),
+        ("0 1 2", "line 1: expected 'u v', got '0 1 2'"),
+        ("0 x", "line 1: non-integer vertex id in '0 x'"),
+        ("0 -1", "line 1: negative vertex id in '0 -1'"),
+        ("p 2 1\n0 5", "line 2: vertex id out of range for declared n=2"),
+        ("p 4 2\n0 1\n  1 2 3  \n", "line 3: expected 'u v', got '1 2 3'"),
+    ], ids=["short-header", "three-tokens", "non-integer", "negative", "out-of-range",
+            "three-tokens-later-line"])
+    def test_line_error_messages(self, text, message):
+        with pytest.raises(EdgeListError) as exc:
+            load_edge_list(text)
+        assert str(exc.value) == message
+
     def test_header_sets_n(self):
         g = load_edge_list("p 10 1\n0 1")
         assert g.n == 10
@@ -96,6 +111,97 @@ class TestEdgeList:
         assert dump_edge_list(load_edge_list(text)) == text
 
 
+def _outcome(load, text):
+    """What ``load(text)`` gives: the graph with its edge index, or the
+    exception's type and message."""
+    try:
+        g = load(text)
+    except Exception as exc:  # noqa: BLE001 -- the type is part of the outcome
+        return type(exc), str(exc)
+    return g, g.edge_index
+
+
+def _mutate(lines: list[str], kind: str, i: int, n: int) -> str:
+    """The canonical ``lines`` (header first, no line breaks) with one change
+    of ``kind`` at line ``i``, joined back into a text."""
+    lines = list(lines)
+    body = lines[1:]
+    j = 1 + i % len(body) if body else 0
+    if kind == "swap" and len(body) >= 2:
+        k = j + 1 if j + 1 < len(lines) else j - 1
+        lines[j], lines[k] = lines[k], lines[j]
+    elif kind == "rewrap" and len(body) >= 2:  # "u v x\ny": as many tokens and lines
+        k = j + 1 if j + 1 < len(lines) else j - 1
+        first, second = sorted((j, k))
+        x, y = lines[second].split()
+        lines[first] += " " + x
+        lines[second] = y
+    elif kind == "duplicate":
+        lines.insert(j, lines[j])
+    elif kind == "comment":
+        lines.insert(i % (len(lines) + 1), ("# note", "c note")[i % 2])
+    elif kind == "no-header":
+        del lines[0]
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "third-token":
+        lines[j] += " 1"
+    elif kind in ("plus", "underscore", "zero", "arabic-digit", "long-digits"):
+        tokens = lines[j].split(" ")
+        t = i % len(tokens)
+        tokens[t] = {"plus": "+", "underscore": "_", "zero": "0",
+                     "arabic-digit": "\u0663", "long-digits": "1" * 5000}[kind] + tokens[t]
+        lines[j] = " ".join(tokens)
+    elif kind == "inner-underscore":
+        lines[j] = lines[j].replace(" ", "0_0 ", 1)
+    elif kind == "id-at-n" and body:
+        u, _v = lines[j].split()
+        lines[j] = f"{u} {n + i % 3}"
+    elif kind == "huge-n":
+        lines[0] = f"p {MAX_GRAPH_SIZE + 1 + i % 2} {len(body)}"
+    elif kind == "no-final-newline":
+        return "\n".join(lines)
+    elif kind == "blank-line":
+        lines.insert(i % (len(lines) + 1), " ")
+    return "\n".join(lines) + "\n"
+
+
+MUTATIONS = ("none", "swap", "rewrap", "duplicate", "comment", "no-header", "crlf", "third-token",
+             "plus", "underscore", "zero", "arabic-digit", "long-digits",
+             "inner-underscore", "id-at-n", "huge-n", "no-final-newline", "blank-line")
+
+
+class TestCanonicalLoad:
+    """The one-pass parse of dump_edge_list's form against the line parser."""
+
+    @given(st.integers(0, 14), st.floats(0.0, 1.0), st.integers(0, 10**6),
+           st.sampled_from(MUTATIONS), st.integers(0, 10**6))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_line_parser(self, n, p, seed, kind, i):
+        g = generate(GeneratorSpec("gnp", n, p=p, seed=seed))
+        text = _mutate(dump_edge_list(g).splitlines(), kind, i, n)
+        expected = _outcome(graphs._load_lines, text)
+        assert _outcome(load_edge_list, text) == expected
+        if kind == "none":
+            assert expected == (g, g.edge_index)
+
+    def test_canonical_text_skips_the_line_parser(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("a canonical text reached the line parser")
+
+        monkeypatch.setattr(graphs, "_load_lines", refuse)
+        for g in (generate(GeneratorSpec("gnp", 200, p=0.05, seed=3)),
+                  Graph.from_edges(7, []), Graph.from_edges(0, [])):
+            loaded = load_edge_list(dump_edge_list(g))
+            assert loaded == g and loaded.edge_index == g.edge_index
+
+    def test_max_degree_cached_without_changing_equality(self):
+        g, h = (generate(GeneratorSpec("gnp", 40, p=0.2, seed=1)) for _ in range(2))
+        assert g.max_degree == max(map(len, g.adjacency)) == g.max_degree
+        assert g == h and hash(g) == hash(h)
+        assert Graph.from_edges(0, []).max_degree == 0
+
+
 class TestInvariants:
     @given(st.integers(0, 30), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -108,6 +214,20 @@ class TestInvariants:
         for e, (u, v) in enumerate(g.edges):
             assert u < v and g.edge_id(u, v) == e
         assert g.max_degree == max((g.degree(v) for v in range(g.n)), default=0)
+
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+        max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_from_edges_against_naive_build(self, case):
+        n, pairs = case
+        g = Graph.from_edges(n, pairs)
+        assert g.edges == tuple(sorted({(min(e), max(e)) for e in pairs}))
+        assert g.adjacency == tuple(
+            tuple(sorted({b for a, b in pairs if a == v} | {a for a, b in pairs if b == v}))
+            for v in range(n))
+        assert g.edge_index == {e: i for i, e in enumerate(g.edges)}
 
 
 class TestGenerators:
