@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .graphs import Graph, Orientation
+from .graphs import Graph, Orientation, orient_by_id
 from .labels import MAX_FACTOR, LabelDomain, draw_count
 from .results import DomainsResult
 from .rng import Stream, subseed
@@ -270,7 +271,12 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
     Layer i strips every remaining vertex of remaining degree <= (2+eps)*a.
     If no vertex qualifies while some remain, the arboricity claim is wrong
     and the remaining vertex set is reported as the witness subgraph (all its
-    degrees exceed (2+eps)*a >= 2a, impossible at arboricity a).
+    degrees exceed (2+eps)*a >= 2a, impossible at arboricity a).  At arboricity
+    a every layer peels more than eps/(2+eps) of the remaining set, which the
+    layer cap allows for; so past the cap, the witness is the set R remaining
+    before the first layer that peeled at most that share.  More than
+    2|R|/(2+eps) vertices of R keep a degree above (2+eps)*a inside R, so R
+    induces more than a*|R| edges.
     """
     if a < 1:
         raise ValueError(f"arboricity bound must be >= 1, got {a}")
@@ -282,6 +288,8 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
     degree = [g.degree(v) for v in range(g.n)]
     layer = [0] * g.n
     remaining = set(range(g.n))
+    share = Fraction(eps)  # a slow layer peels at most share/(2+share) of R
+    dense = ()
     level = 0
     while remaining:
         level += 1
@@ -290,10 +298,12 @@ def h_partition(g: Graph, a: int, eps: float = 1.0) -> HPartition:
             raise ArboricityError(
                 f"no vertex of degree <= {threshold} left; arboricity bound "
                 f"{a} violated", tuple(sorted(remaining)))
+        if not dense and len(peel) * (2 + share) <= share * len(remaining):
+            dense = tuple(sorted(remaining))
         if level > cap:
             raise ArboricityError(
                 f"peeling exceeded the {cap}-layer bound; arboricity bound "
-                f"{a} violated", tuple(sorted(remaining)))
+                f"{a} violated", dense)
         for v in peel:
             layer[v] = level
             remaining.discard(v)
@@ -323,7 +333,8 @@ class ForestLabeling:
 
 class _ForestIdProgram(NodeProgram):
     """Two communication rounds: exchange ids to orient, then send each
-    higher-id neighbor a random distinct label for the shared edge."""
+    higher-id neighbor a random distinct label for the shared edge.  The
+    reference the tests check ``forest_decomposition``'s id mode against."""
 
     def __init__(self, forest_count: int):
         self.forest_count = forest_count
@@ -353,48 +364,42 @@ def forest_decomposition(g: Graph, mode: str = "id", a: int | None = None,
     """Label every edge with a forest index; every label class is acyclic.
     Returns the labeling and the run report; no per-edge domain is built.
 
-    id mode: orient toward higher ids and number out-edges in two rounds,
-    with forest_count = max degree.  h-partition mode: orient via the peeling
+    id mode: orient toward higher ids, with forest_count = max degree and the
+    report of ``_ForestIdProgram``.  h-partition mode: orient via the peeling
     partition, with forest_count = floor((2+eps)*a) and a <= MAX_FACTOR.
-    Either way each vertex draws its numbering uniformly at random among
-    injective assignments, so every distinct assignment (and every per-edge
-    label) stays valid.
+    Either way each vertex with out-edges shuffles 1..forest_count on its own
+    stream and numbers them in edge order, so it draws uniformly among
+    injective assignments and every one of them is valid.
     """
     if mode == "id":
+        orientation = orient_by_id(g)
         forest_count = g.max_degree
-        program = _ForestIdProgram(forest_count)
-        report = run_sync(program, g, seed, max_rounds=4)
-        labels = [0] * g.m
-        assigner = [0] * g.m
-        for v in range(g.n):
-            for u, num in report.outputs[v][0]:
-                e = g.edge_id(v, u)
-                labels[e] = num
-                assigner[e] = v
-        return ForestLabeling(tuple(labels), tuple(assigner), forest_count), report
-    if mode == "h-partition":
+        # the program's id exchange, numbering and receive-only round
+        report = RunReport(rounds=3 if g.n else 0, comm_rounds=2 if g.m else 0,
+                           messages_total=3 * g.m)
+    elif mode == "h-partition":
         if a is None:
             raise ValueError("h-partition mode requires the arboricity bound a")
         if a > MAX_FACTOR:  # each vertex shuffles all floor((2+eps)*a) labels
             raise ValueError(f"a must be at most {MAX_FACTOR}, got {a}")
         hp = h_partition(g, a, eps)
-        forest_count = math.floor((2 + eps) * a)
         orientation = hp.orientation
-        labels = [0] * g.m
-        assigner = [0] * g.m
-        messages = 0
-        for v in range(g.n):
-            out = orientation.out_edges(v)
-            if not out:  # as in id mode, only a vertex that numbers shuffles
-                continue
-            numbers = Stream(seed, v).shuffle(list(range(1, forest_count + 1)))
-            for num, e in zip(numbers, out):
-                labels[e] = num
-                assigner[e] = v
-                messages += 1
-        report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, messages)
-        return ForestLabeling(tuple(labels), tuple(assigner), forest_count), report
-    raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
+        forest_count = math.floor((2 + eps) * a)
+        # every edge has one source, which numbers it: out-degree <= forest_count
+        report = RunReport.sweep(hp.layer_count + 1 if g.n else 0, g.m)
+    else:
+        raise ValueError(f"mode must be 'id' or 'h-partition', got {mode!r}")
+    labels = [0] * g.m
+    assigner = [0] * g.m
+    for v in range(g.n):
+        out = orientation.out_edges(v)
+        if not out:  # only a vertex that numbers shuffles
+            continue
+        numbers = Stream(seed, v).shuffle(list(range(1, forest_count + 1)))
+        for num, e in zip(numbers, out):
+            labels[e] = num
+            assigner[e] = v
+    return ForestLabeling(tuple(labels), tuple(assigner), forest_count), report
 
 
 def arboricity_generic_coloring(g: Graph, a: int, eps: float = 1.0,

@@ -77,9 +77,12 @@ def load_edge_list(text: str) -> Graph:
     """Parse a line-oriented edge list.
 
     Each non-comment line is "u v".  An optional header "p <n> <m>" fixes the
-    vertex count; without it, n = max id + 1.  Lines starting with '#' or 'c'
-    are comments.  Duplicate edges collapse; self-loops, out-of-range ids and
-    a header below an earlier line's ids are rejected with their line number.
+    vertex count, and m must equal the number of "u v" lines, duplicates
+    included; without it, n = max id + 1.  With several headers the last one
+    counts.  Lines starting with '#' or 'c' are comments.  Duplicate edges
+    collapse; self-loops, out-of-range ids, a header below an earlier line's
+    ids and a header m that the edge lines do not meet are rejected with their
+    line number.
     The canonical form that ``dump_edge_list`` writes is parsed in one pass;
     any other text goes through the line parser.
     """
@@ -87,12 +90,12 @@ def load_edge_list(text: str) -> Graph:
     return g if g is not None else _load_lines(text)
 
 
-_CANONICAL_HEADER = re.compile(r"p ([0-9]+) [0-9]+")
+_CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)")
 _CANONICAL_BODY = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
 
 
 def _load_canonical(text: str) -> Graph | None:
-    """The graph of a canonical edge list (a "p n m" header, then strictly
+    """The graph of a canonical edge list (a "p n m" header, then m strictly
     increasing "u v" lines with u < v < n, each ending in a newline), or None
     for any other text.  It equals ``_load_lines(text)``."""
     head, _, rest = text.partition("\n")
@@ -100,12 +103,12 @@ def _load_canonical(text: str) -> Graph | None:
     if header is None or _CANONICAL_BODY.fullmatch(rest) is None:
         return None
     try:  # an id past int's digit limit is the line parser's error
-        n = int(header[1])
+        n, m = int(header[1]), int(header[2])
         it = map(int, rest.split())
         edges = tuple(zip(it, it))
     except ValueError:
         return None
-    if n > MAX_GRAPH_SIZE:
+    if n > MAX_GRAPH_SIZE or m != len(edges):
         return None
     prev = (-1, -1)
     for e in edges:
@@ -117,7 +120,7 @@ def _load_canonical(text: str) -> Graph | None:
 
 def _load_lines(text: str) -> Graph:
     """``load_edge_list`` line by line: every form it accepts, and every error."""
-    n_declared = None
+    n_declared = m_header = None  # m_header: the last header's (line, m)
     pairs: list[tuple[int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,6 +138,11 @@ def _load_lines(text: str) -> Graph:
             if n_declared is None or n_declared <= max_id:
                 raise EdgeListError(f"line {lineno}: header needs an integer n >= {max_id + 1}, "
                                     f"got {parts[1]!r}")
+            try:
+                m_header = (lineno, int(parts[2]))
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: header needs an integer m, "
+                                    f"got {parts[2]!r}") from None
             continue
         if len(parts) != 2:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {line!r}")
@@ -152,6 +160,9 @@ def _load_lines(text: str) -> Graph:
             )
         pairs.append((u, v))
         max_id = max(max_id, u, v)
+    if m_header is not None and m_header[1] != len(pairs):
+        raise EdgeListError(f"line {m_header[0]}: header declares m={m_header[1]}, "
+                            f"but the file has {len(pairs)} edge lines")
     n = n_declared if n_declared is not None else max_id + 1
     return Graph.from_edges(n, pairs)
 

@@ -236,6 +236,19 @@ def check_forest_labeling(g: Graph, edge_labels, assigner, label_count: int) -> 
     return _ok(name)
 
 
+def check_arboricity_witness(g: Graph, witness, a: int) -> Verdict:
+    """The vertex set ``witness`` must induce more than a*(|W|-1) edges, so
+    by Nash-Williams no a forests cover its subgraph: arboricity above a."""
+    name = "arboricity-witness"
+    members = set(witness)
+    edges = sum(1 for v in members for u in g.adjacency[v] if u > v and u in members)
+    if len(members) < 2 or edges <= a * (len(members) - 1):
+        return _fail(name, "violated",
+                     f"{len(members)} vertices induce {edges} edges, not more than "
+                     f"{a}*({len(members)}-1)")
+    return _ok(name, f"{len(members)} vertices induce {edges} edges")
+
+
 def _bfs_distances(g: Graph, source: int) -> list[int]:
     dist = [-1] * g.n
     dist[source] = 0

@@ -526,6 +526,17 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_truncated_edge_list_config_error(self, tmp_path, capsys):
+        """A file cut at a line boundary falls short of its header's m."""
+        f = tmp_path / "g.edges"
+        f.write_text("p 4 3\n0 1\n1 2\n")
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "forest-id", "--graph", str(f),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: line 1: header declares m=3, but the file has 2 edge lines\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["--graph=", "--gen="])
     def test_empty_source_config_error(self, source, capsys):
         assert main(["run", "--algo", "forest-id", source]) == EXIT_CONFIG
@@ -914,6 +925,30 @@ class TestBench:
         table = out.read_text()
         assert "error" in table
         assert "good" in table and "1/1" in table
+
+    def test_contingency_is_the_largest_over_seeds(self, tmp_path):
+        """The contingency column is the row's worst seed, as rounds(max) is:
+        seed 0 gives 128/7 here and seed 1 a smaller factor."""
+        gen = "forest-union:n=256,a=2"
+        factors = []
+        for seed in (0, 1):
+            g = generate(replace(parse_gen_spec(gen), seed=seed))
+            doc = build_report("arboricity-coloring", g, {}, seed, {"a": 2})
+            factors.append(doc["metrics"]["contingency_factor"])
+        assert factors[0] == "128/7" and factors[1] != factors[0]
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"name": "arb", "algo": "arboricity-coloring", "gen": gen,
+                                      "seeds": [0, 1], "params": {"a": 2}}]))
+        out = tmp_path / "table.txt"
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        assert header.split()[3] == "contingency(max)"
+        assert row.split()[3] == "128/7"
+
+    def test_empty_domain_contingency_ranks_highest(self):
+        """verify.metrics writes 0/1 for an empty smallest domain, the worst case."""
+        assert max(["3/1", "0/1", "2209/34"], key=cli._contingency_rank) == "0/1"
+        assert max(["2209/36", "2209/34"], key=cli._contingency_rank) == "2209/34"
 
     def test_suite_params_checked_against_schema(self, tmp_path, capsys):
         """Suite params go through the --param schema: an unknown key, a

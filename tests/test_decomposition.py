@@ -3,8 +3,10 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from genlabel import GeneratorSpec, Graph, Stream, generate, orient_by_id
+from genlabel import GeneratorSpec, Graph, Stream, generate, orient_by_id, run_sync
 from genlabel.decomposition import (
     ArboricityError,
     arboricity_generic_coloring,
@@ -12,14 +14,31 @@ from genlabel.decomposition import (
     generic_network_decomposition,
     h_partition,
     linial_saks,
+    _ForestIdProgram,
     _linial_saks_program,
 )
 from genlabel.verify import (
+    check_arboricity_witness,
     check_domains_disjoint,
     check_forest_labeling,
     check_network_decomposition,
     _UnionFind,
 )
+from test_edge_coloring import SWEEP_GRAPHS
+
+
+def triangulated_grid(rows, cols):
+    """Each vertex joined to its right, lower and lower-right neighbours."""
+    edges = []
+    for v in range(rows * cols):
+        r, c = divmod(v, cols)
+        if c + 1 < cols:
+            edges.append((v, v + 1))
+        if r + 1 < rows:
+            edges.append((v, v + cols))
+        if r + 1 < rows and c + 1 < cols:
+            edges.append((v, v + cols + 1))
+    return Graph.from_edges(rows * cols, edges)
 
 
 def bfs_dist(g, s):
@@ -169,6 +188,42 @@ class TestHPartition:
             h_partition(g, a=1, eps=1)
         assert len(exc.value.witness) == 8
 
+    def test_layer_cap_witness_certifies(self):
+        """Past the layer cap the witness is the set before the first slow
+        layer: on the triangulated 18x18 grid, the whole grid (901 edges
+        against 323), not the six edgeless vertices left unpeeled at the cap."""
+        g = triangulated_grid(18, 18)
+        with pytest.raises(ArboricityError, match="exceeded the 17-layer bound") as exc:
+            h_partition(g, a=1, eps=1.0)
+        assert exc.value.witness == tuple(range(324))
+        assert check_arboricity_witness(g, exc.value.witness, 1).ok
+        assert not check_arboricity_witness(g, (119, 136, 153, 170, 187, 204), 1).ok
+
+    def test_corrupted_witness_fails(self):
+        g = generate(GeneratorSpec("clique", 8))
+        assert check_arboricity_witness(g, range(8), 3).ok
+        verdict = check_arboricity_witness(g, range(8), 4)  # 28 edges, not above 4*7
+        assert (verdict.ok, verdict.status) == (False, "violated")
+        assert verdict.detail == "8 vertices induce 28 edges, not more than 4*(8-1)"
+        assert check_arboricity_witness(g, (0, 1, 2), 1).ok  # a triangle is no forest
+        assert not check_arboricity_witness(g, (0, 1, 2), 2).ok
+        assert not check_arboricity_witness(g, (5,), 1).ok
+        assert not check_arboricity_witness(g, (), 1).ok
+
+    @given(st.one_of(
+        st.builds(lambda n, p, seed: generate(GeneratorSpec("gnp", n, p=p, seed=seed)),
+                  st.integers(2, 24), st.floats(0.2, 1.0), st.integers(0, 10**6)),
+        st.builds(triangulated_grid, st.integers(2, 15), st.integers(2, 15))),
+        st.integers(1, 3), st.sampled_from([2.0, 1.5, 1.0, 0.5]) | st.floats(0.01, 2.0))
+    @settings(max_examples=300, deadline=None)
+    def test_every_refusal_certifies(self, g, a, eps):
+        """Every refusal's witness induces more than a*(|W|-1) edges, from
+        either branch: no vertex qualifies, or the layer cap is exceeded."""
+        try:
+            h_partition(g, a=a, eps=eps)
+        except ArboricityError as exc:
+            assert check_arboricity_witness(g, exc.witness, a).ok
+
     def test_orientation_acyclic(self):
         g = generate(GeneratorSpec("forest-union", 200, a=2, seed=3))
         hp = h_partition(g, a=2, eps=1)
@@ -263,12 +318,34 @@ class TestForestDecomposition:
 
     def test_assigner_and_receiver_agree(self):
         g = generate(GeneratorSpec("gnp", 40, p=0.2, seed=8))
-        labeling, report = forest_decomposition(g, mode="id", seed=8)
-        # receivers recorded the same numbers the assigners sent
+        labeling, _ = forest_decomposition(g, mode="id", seed=8)
+        reference = run_sync(_ForestIdProgram(g.max_degree), g, 8, max_rounds=4)
+        # the reference's receivers recorded the numbers the assigners gave
         for v in range(g.n):
-            for u, num in report.outputs[v][1]:
+            for u, num in reference.outputs[v][1]:
                 e = g.edge_id(u, v)
                 assert labeling.edge_labels[e] == num and labeling.assigner[e] == u
+
+
+class TestForestIdMatchesProgram:
+    """id mode numbers each vertex's out-edges in one loop and states the
+    report ``_ForestIdProgram`` gives under ``run_sync``: the same labels
+    and assigners, rounds, comm_rounds, messages and incomplete."""
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS)
+    def test_equals_program(self, g):
+        for seed in (0, 1, 5):
+            labeling, report = forest_decomposition(g, mode="id", seed=seed)
+            reference = run_sync(_ForestIdProgram(g.max_degree), g, seed, max_rounds=4)
+            labels = [0] * g.m
+            assigner = [0] * g.m
+            for v, (assigned, _) in enumerate(reference.outputs):
+                for u, num in assigned:
+                    labels[g.edge_id(v, u)] = num
+                    assigner[g.edge_id(v, u)] = v
+            assert labeling.edge_labels == tuple(labels)
+            assert labeling.assigner == tuple(assigner)
+            assert report == replace(reference, outputs=())
 
 
 class TestArboricityColoring:

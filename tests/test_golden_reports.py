@@ -121,7 +121,7 @@ CASES = [
     ("run --algo dominating-edge --gen gnp:n=256,p=0.02 --seed 1 --format csv",
      0, "008497ac730cb36844b2a1070e1551a07afa1500cda402fa5c3854d71f52c1e3"),
     ("bench",
-     0, "074cd580d29a918e068e1e81f5d2b1c2311fbc737260e76eb8c51eaf844073c4"),
+     0, "700bedc32ac027a44e0959dbdfb7dd73e1d63b9e41b6f36ccc92cc28cf03d6f5"),
     ("run --algo cv3-expansion --gen path:n=0 --seed 0",
      0, "6c2a0c0b820dc3ee7e700ff288bb58d86383079fa299ed04ec7af79c1be2f9a5"),
     ("run --algo random-coloring --gen path:n=0 --seed 0",

@@ -89,8 +89,13 @@ class TestEdgeList:
         ("0 -1", "line 1: negative vertex id in '0 -1'"),
         ("p 2 1\n0 5", "line 2: vertex id out of range for declared n=2"),
         ("p 4 2\n0 1\n  1 2 3  \n", "line 3: expected 'u v', got '1 2 3'"),
+        ("p 10 40\n0 1\n", "line 1: header declares m=40, but the file has 1 edge lines"),
+        ("# c\np 10 x\n0 1\n", "line 2: header needs an integer m, got 'x'"),
+        ("p 4 1\n0 1\np 4 1\n1 2\n", "line 3: header declares m=1, but the file has 2 edge lines"),
+        ("p 4 9\n0 1\n0 9\n", "line 3: vertex id out of range for declared n=4"),
     ], ids=["short-header", "three-tokens", "non-integer", "negative", "out-of-range",
-            "three-tokens-later-line"])
+            "three-tokens-later-line", "edge-count", "non-integer-m", "last-header-counts",
+            "earlier-line-wins"])
     def test_line_error_messages(self, text, message):
         with pytest.raises(EdgeListError) as exc:
             load_edge_list(text)
@@ -99,6 +104,9 @@ class TestEdgeList:
     def test_header_sets_n(self):
         g = load_edge_list("p 10 1\n0 1")
         assert g.n == 10
+
+    def test_header_m_counts_duplicate_lines(self):
+        assert load_edge_list("p 3 2\n0 1\n1 0\n").m == 1
 
     def test_comments_ignored(self):
         g = load_edge_list("# hi\nc another\n0 1")
@@ -163,12 +171,15 @@ def _mutate(lines: list[str], kind: str, i: int, n: int) -> str:
         return "\n".join(lines)
     elif kind == "blank-line":
         lines.insert(i % (len(lines) + 1), " ")
+    elif kind == "truncate" and body:  # cut at a line boundary: the header's m is one too many
+        del lines[-1]
     return "\n".join(lines) + "\n"
 
 
 MUTATIONS = ("none", "swap", "rewrap", "duplicate", "comment", "no-header", "crlf", "third-token",
              "plus", "underscore", "zero", "arabic-digit", "long-digits",
-             "inner-underscore", "id-at-n", "huge-n", "no-final-newline", "blank-line")
+             "inner-underscore", "id-at-n", "huge-n", "no-final-newline", "blank-line",
+             "truncate")
 
 
 class TestCanonicalLoad:

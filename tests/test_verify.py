@@ -10,6 +10,7 @@ from genlabel.verify import (
     check_defective_labels,
     check_domains_disjoint,
     check_edge_defect,
+    check_edge_domains_disjoint,
     check_edge_dominating,
     check_edge_properness,
     check_forest_labeling,
@@ -78,6 +79,36 @@ class TestDisjoint:
         picks = product(*(sorted(dom.domains[v]) for v in range(g.n)))
         assert check_domains_disjoint(g, dom).ok == \
             all(check_proper_vertex(g, list(pick)).ok for pick in picks)
+
+
+def edom(palette, *sets):
+    return LabelDomain(kind="edge", palette=palette,
+                       domains={e: frozenset(s) for e, s in enumerate(sets)})
+
+
+class TestEdgeDomainsDisjoint:
+    """The only verdict of edge-random and edge-delta2: edges that share an
+    endpoint hold disjoint label sets."""
+
+    def test_shared_endpoint_overlap_violated(self, path4):
+        # path 0-1-2-3: edges 1=(1,2) and 2=(2,3) meet at vertex 2 and share 4 and 5
+        v = check_edge_domains_disjoint(path4, edom(8, {0, 1}, {2, 4, 5}, {5, 4, 7}))
+        assert (v.ok, v.status) == (False, "violated")
+        assert v.counterexample == [1, 2]
+        assert v.detail == "edges 1,2 share label 4 at vertex 2"
+
+    def test_overlap_without_common_endpoint_ok(self, path4):
+        # edges 0=(0,1) and 2=(2,3) hold the same labels but share no vertex
+        v = check_edge_domains_disjoint(path4, edom(8, {3, 6}, {0, 1}, {3, 6}))
+        assert v.ok and v.status == "ok"
+
+    def test_empty_domain_degenerate(self, path4):
+        v = check_edge_domains_disjoint(path4, edom(8, {0}, set(), {1}))
+        assert (v.ok, v.status, v.counterexample) == (False, "degenerate", 1)
+
+    def test_vertex_domains_rejected(self, path4):
+        with pytest.raises(ValueError, match="applies to edge domains"):
+            check_edge_domains_disjoint(path4, vdom(8, {0}, {1}, {2}, {3}))
 
 
 class TestDefective:
