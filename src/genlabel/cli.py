@@ -420,6 +420,10 @@ def cmd_run(args) -> int:
             g, source = _graph_from_args(args, args.seed)
             doc = build_report(args.algo, g, source, args.seed, params)
         except ArboricityError as exc:
+            verdict = verify.check_arboricity_witness(g, exc.witness, params["a"])
+            if not verdict.ok:
+                print(f"error: {exc} (uncertified witness: {verdict.detail})", file=sys.stderr)
+                return EXIT_INCOMPLETE
             cut = "..." if len(exc.witness) > 16 else ""
             print(f"error: {exc} (witness: {list(exc.witness)[:16]}{cut})", file=sys.stderr)
             return EXIT_VERDICT
@@ -459,6 +463,8 @@ def _suite_row(entry) -> tuple[str, dict, list, str]:
             raise ConfigError(f"suite row {key!r} must be a {kind.__name__}, got {value!r}")
     if not all(type(seed) is int for seed in row[2]):
         raise ConfigError(f"suite row 'seeds' must be integers, got {row[2]!r}")
+    if not row[2]:
+        raise ConfigError("suite row 'seeds' must not be empty")
     return row
 
 

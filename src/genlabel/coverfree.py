@@ -135,7 +135,6 @@ def residual_elements(fam: PolyFamily, s0: int, others, rho: int = 0) -> list[in
 @dataclass(frozen=True)
 class CoverFreeVerdict:
     ok: bool
-    mode: str
     tuples_checked: int
     counterexample: tuple | None = None
 
@@ -166,8 +165,8 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
             for others in combinations(pool, delta):
                 checked += 1
                 if not residual_elements(fam, s0, others, rho):
-                    return CoverFreeVerdict(False, mode, checked, (s0, *others))
-        return CoverFreeVerdict(True, mode, checked)
+                    return CoverFreeVerdict(False, checked, (s0, *others))
+        return CoverFreeVerdict(True, checked)
     if mode == "sampled":
         rng = Stream(subseed(seed, 0x6366), 0)
         for _ in range(trials):
@@ -180,6 +179,6 @@ def verify_cover_free(fam: PolyFamily, delta: int, rho: int = 0,
             checked += 1
             ordered = tuple(sorted(others))
             if not residual_elements(fam, s0, ordered, rho):
-                return CoverFreeVerdict(False, mode, checked, (s0, *ordered))
-        return CoverFreeVerdict(True, mode, checked)
+                return CoverFreeVerdict(False, checked, (s0, *ordered))
+        return CoverFreeVerdict(True, checked)
     raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")

@@ -395,11 +395,6 @@ class DominatingColoredSet:
     params: dict = field(default_factory=dict)
 
 
-def edge_class_of_color(color: int, class_width: int) -> int:
-    """1-based class index of a base color under the palette partition."""
-    return color // class_width + 1
-
-
 def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
                              seed: int = 0) -> DominatingColoredSet:
     """Colored edge dominating set: properly color edges with c*max_degree
@@ -423,7 +418,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     coloring = simple_edge_coloring(g, palette_size=base_palette,
                                     seed=subseed(seed, 0x6563))
     class_of = tuple(
-        edge_class_of_color(col, width) if col is not None else 0
+        col // width + 1 if col is not None else 0
         for col in coloring.outputs)
     members: list[list[int]] = [[] for _ in range(s + 1)]  # class 0: uncolored
     for e, cls in enumerate(class_of):

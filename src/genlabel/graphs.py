@@ -129,7 +129,7 @@ def _load_lines(text: str) -> Graph:
             continue
         parts = line.split()
         if parts[0] == "p":
-            if len(parts) < 3:
+            if len(parts) != 3:
                 raise EdgeListError(f"line {lineno}: malformed header {line!r}")
             try:
                 n_declared = int(parts[1])
@@ -316,10 +316,6 @@ class Orientation:
             out[u + v - head].append(e)
         return Orientation(
             graph=g, target=tuple(target), _out=tuple(tuple(o) for o in out))
-
-    def source(self, e: int) -> int:
-        u, v = self.graph.edges[e]
-        return u + v - self.target[e]
 
     def out_edges(self, v: int) -> tuple[int, ...]:
         return self._out[v]

@@ -44,17 +44,6 @@ class LabelDomain:
         if self.kind not in ("vertex", "edge"):
             raise ValueError(f"kind must be 'vertex' or 'edge', got {self.kind!r}")
 
-    def validate(self) -> None:
-        """Check the domain invariants: non-empty sets, scalars below palette."""
-        for entity, dom in self.domains.items():
-            if not dom:
-                raise ValueError(f"empty domain for entity {entity}")
-            worst = max(dom)
-            if worst >= self.palette or min(dom) < 0:
-                raise ValueError(
-                    f"entity {entity} holds label {worst} outside palette [0,{self.palette})"
-                )
-
     def sizes(self) -> list[int]:
         return [len(d) for d in self.domains.values()]
 

@@ -16,11 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genlabel
-from genlabel import GeneratorSpec, Graph, LabelDomain, cli, generate, load_edge_list, verify
+from genlabel import (GeneratorSpec, Graph, LabelDomain, cli, decomposition, generate,
+                      load_edge_list, verify)
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
     EXIT_CONFIG,
+    EXIT_INCOMPLETE,
     EXIT_OK,
     EXIT_VERDICT,
     build_parser,
@@ -265,6 +267,40 @@ class TestRun:
                      "--gen", f"clique:n={n}", "--param", "a=1"])
         assert code == EXIT_VERDICT
         assert capsys.readouterr().err.endswith(f"(witness: {witness}\n")
+
+    def test_uncertified_witness_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        """A refusal whose witness fails verify.check_arboricity_witness is the
+        run's fault, not a verdict: exit 3, one stderr line, no report."""
+        def refuse(g, a, eps=1.0):
+            raise decomposition.ArboricityError("arboricity above 1", (0, 5))
+
+        monkeypatch.setattr(decomposition, "h_partition", refuse)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "arboricity-coloring", "--gen", "path:n=8",
+                     "--param", "a=1", "--out", str(out)]) == EXIT_INCOMPLETE
+        assert capsys.readouterr().err == (
+            "error: arboricity above 1 (uncertified witness: "
+            "2 vertices induce 0 edges, not more than 1*(2-1))\n")
+        assert not out.exists()
+
+    def test_domain_floor_from_the_invocation(self, tmp_path, monkeypatch):
+        """delta2-coloring's floor is the given delta (4), not the path's max
+        degree (2): a 3-label domain violates it."""
+        entry = cli.generic_delta2_coloring
+
+        def shrunk(g, **kwargs):
+            res = entry(g, **kwargs)
+            res.domains.domains[0] = frozenset(sorted(res.domains.domains[0])[:3])
+            return res
+
+        monkeypatch.setattr(cli, "generic_delta2_coloring", shrunk)
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "delta2-coloring", "--gen", "path:n=6",
+                     "--param", "delta=4", "--out", str(out)]) == EXIT_VERDICT
+        verdicts = {v["name"]: v for v in json.loads(out.read_text())["metrics"]["verdicts"]}
+        assert verdicts["domain-floor"] == {"name": "domain-floor", "ok": False,
+                                            "status": "violated",
+                                            "detail": "min domain 3 vs floor 4"}
 
     @pytest.mark.parametrize("tag,gen,extra", [
         ("random-coloring", "gnp:n=16,p=0.2", []),
@@ -536,6 +572,13 @@ class TestRun:
         assert capsys.readouterr().err == (
             "error: line 1: header declares m=3, but the file has 2 edge lines\n")
         assert not out.exists()
+
+    def test_long_header_config_error(self, tmp_path, capsys):
+        """A header has exactly three tokens, as a "u v" line has two."""
+        f = tmp_path / "g.edges"
+        f.write_text("p 3 1 junk\n0 1\n")
+        assert main(["run", "--algo", "forest-id", "--graph", str(f)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: line 1: malformed header 'p 3 1 junk'\n"
 
     @pytest.mark.parametrize("source", ["--graph=", "--gen="])
     def test_empty_source_config_error(self, source, capsys):
@@ -997,7 +1040,9 @@ class TestBench:
          "suite row 'params' must be a dict"),
         ({"algo": "random-coloring", "gen": "path:n=4", "seeds": 5},
          "suite row 'seeds' must be a list"),
-    ], ids=["row-not-object", "params-not-object", "seeds-not-list"])
+        ({"algo": "random-coloring", "gen": "path:n=4", "seeds": []},  # runs nothing
+         "suite row 'seeds' must not be empty"),
+    ], ids=["row-not-object", "params-not-object", "seeds-not-list", "seeds-empty"])
     def test_malformed_suite_row_error_note(self, tmp_path, capsys, row, note):
         suite = tmp_path / "s.json"
         suite.write_text(json.dumps([row, {"name": "good", "algo": "random-coloring",

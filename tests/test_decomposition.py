@@ -228,10 +228,9 @@ class TestHPartition:
         g = generate(GeneratorSpec("forest-union", 200, a=2, seed=3))
         hp = h_partition(g, a=2, eps=1)
         order = {v: (hp.layer[v], v) for v in range(g.n)}
-        for e in range(g.m):
-            src = hp.orientation.source(e)
+        for e, (u, v) in enumerate(g.edges):
             dst = hp.orientation.target[e]
-            assert order[src] < order[dst]
+            assert order[u + v - dst] < order[dst]
 
 
 def assignment_space(g, orientation, forest_count):

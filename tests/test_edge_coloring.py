@@ -3,14 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from genlabel import GeneratorSpec, Graph, Stream, generate, line_graph
+from genlabel import GeneratorSpec, Graph, Stream, edge_coloring, generate, line_graph
 from genlabel.edge_coloring import (
     _MatchingProgram,
     _ProposalColoringProgram,
     _matching_sweep,
     _proposal_sweep,
     dominating_edge_coloring,
-    edge_class_of_color,
     edge_coloring_via_line_graph,
     kuhn_defective_edge_coloring,
     maximal_matching,
@@ -18,7 +17,7 @@ from genlabel.edge_coloring import (
     pair_palette,
     simple_edge_coloring,
 )
-from genlabel.runtime import run_sync
+from genlabel.runtime import RunReport, run_sync
 from genlabel.verify import (
     check_edge_defect,
     check_edge_dominating,
@@ -254,11 +253,16 @@ class TestSweepsMatchPrograms:
 
 
 class TestDominating:
-    def test_partition_formula_delta4_c2(self):
-        # pure arithmetic of the class partition: 8 base colors, 2 classes
-        width = -(-8 // 2)
-        assert width == 4
-        assert [edge_class_of_color(c, width) for c in (0, 3, 4, 7)] == [1, 1, 2, 2]
+    def test_class_of_partitions_the_base_palette(self, monkeypatch):
+        """Delta 4, c 3: palette 12 in 2 classes of width 6; an uncolored edge
+        gets class 0."""
+        monkeypatch.setattr(edge_coloring, "simple_edge_coloring",
+                            lambda *a, **k: RunReport(1, 1, 0, outputs=(0, 5, 6, 11, None)))
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)])
+        res = dominating_edge_coloring(g, c=3, t=3, seed=0)
+        assert (res.params["base_palette"], res.params["classes"],
+                res.params["class_width"]) == (12, 2, 6)
+        assert res.class_of == (1, 1, 2, 2, 0)
 
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])

@@ -84,6 +84,7 @@ class TestEdgeList:
 
     @pytest.mark.parametrize("text,message", [
         ("p 3", "line 1: malformed header 'p 3'"),
+        ("p 3 1 junk\n0 1\n", "line 1: malformed header 'p 3 1 junk'"),
         ("0 1 2", "line 1: expected 'u v', got '0 1 2'"),
         ("0 x", "line 1: non-integer vertex id in '0 x'"),
         ("0 -1", "line 1: negative vertex id in '0 -1'"),
@@ -93,7 +94,7 @@ class TestEdgeList:
         ("# c\np 10 x\n0 1\n", "line 2: header needs an integer m, got 'x'"),
         ("p 4 1\n0 1\np 4 1\n1 2\n", "line 3: header declares m=1, but the file has 2 edge lines"),
         ("p 4 9\n0 1\n0 9\n", "line 3: vertex id out of range for declared n=4"),
-    ], ids=["short-header", "three-tokens", "non-integer", "negative", "out-of-range",
+    ], ids=["short-header", "long-header", "three-tokens", "non-integer", "negative", "out-of-range",
             "three-tokens-later-line", "edge-count", "non-integer-m", "last-header-counts",
             "earlier-line-wins"])
     def test_line_error_messages(self, text, message):
@@ -154,6 +155,8 @@ def _mutate(lines: list[str], kind: str, i: int, n: int) -> str:
         return "\r\n".join(lines) + "\r\n"
     elif kind == "third-token":
         lines[j] += " 1"
+    elif kind == "header-token":
+        lines[0] += " 1"
     elif kind in ("plus", "underscore", "zero", "arabic-digit", "long-digits"):
         tokens = lines[j].split(" ")
         t = i % len(tokens)
@@ -177,6 +180,7 @@ def _mutate(lines: list[str], kind: str, i: int, n: int) -> str:
 
 
 MUTATIONS = ("none", "swap", "rewrap", "duplicate", "comment", "no-header", "crlf", "third-token",
+             "header-token",
              "plus", "underscore", "zero", "arabic-digit", "long-digits",
              "inner-underscore", "id-at-n", "huge-n", "no-final-newline", "blank-line",
              "truncate")
@@ -304,7 +308,7 @@ class TestOrientation:
     def test_orient_by_id_acyclic_oracle(self, n, seed):
         g = generate(GeneratorSpec("gnp", n, p=0.3, seed=seed))
         o = orient_by_id(g)
-        directed = [(o.source(e), o.target[e]) for e in range(g.m)]
+        directed = [(v, o.target[e]) for v in range(g.n) for e in o.out_edges(v)]
         assert topological_order_exists(g.n, directed)
 
     @pytest.mark.parametrize("n,p,seed", [(0, 0.5, 0), (1, 0.5, 0), (12, 0.4, 1),
@@ -322,7 +326,7 @@ class TestOrientation:
         assert o.max_out_degree == 1
         roots = [v for v in range(g.n) if o.out_degree(v) == 0]
         assert roots == [0]
-        directed = [(o.source(e), o.target[e]) for e in range(g.m)]
+        directed = [(v, o.target[e]) for v in range(g.n) for e in o.out_edges(v)]
         assert topological_order_exists(g.n, directed)
 
     def test_orient_forest_rejects_cycles(self, triangle):

@@ -8,6 +8,7 @@ from genlabel import GeneratorSpec, Graph, LabelDomain, generate
 from genlabel.verify import (
     check_defective_domains,
     check_defective_labels,
+    check_domain_floor,
     check_domains_disjoint,
     check_edge_defect,
     check_edge_domains_disjoint,
@@ -84,6 +85,19 @@ class TestDisjoint:
 def edom(palette, *sets):
     return LabelDomain(kind="edge", palette=palette,
                        domains={e: frozenset(s) for e, s in enumerate(sets)})
+
+
+class TestDomainFloor:
+    def test_floor_met(self):
+        v = check_domain_floor(vdom(6, {0, 1}, {2, 3, 4}), 2)
+        assert (v.ok, v.status, v.detail) == (True, "ok", "min domain 2 vs floor 2")
+
+    def test_floor_missed(self):
+        v = check_domain_floor(vdom(6, {0}, {2, 3, 4}), 2)
+        assert (v.ok, v.status, v.detail) == (False, "violated", "min domain 1 vs floor 2")
+
+    def test_no_entities_pass_vacuously(self):
+        assert check_domain_floor(vdom(6), 5).ok
 
 
 class TestEdgeDomainsDisjoint:

@@ -144,7 +144,8 @@ class TestRandomColoring:
         res = generic_random_coloring(k4, c=4.0, seed=2)
         assert res.domains.stride == 2 * res.params["delta"]
         assert res.domains.palette == res.domains.stride * res.params["k"]
-        res.domains.validate()
+        for dom in res.domains.domains.values():
+            assert dom and 0 <= min(dom) and max(dom) < res.domains.palette
 
     def test_rejects_low_delta_bound(self, k4):
         with pytest.raises(ValueError):
