@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .graphs import Graph, Orientation, orient_by_id
 from .labels import MAX_FACTOR, LabelDomain, draw_count
 from .results import DomainsResult
-from .rng import Stream, subseed
+from .rng import Stream, geometric_draws, node_keys, stream_bases, subseed
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import draw_and_prune
 
@@ -124,7 +125,8 @@ def _linial_saks_program(g: Graph, seed: int = 0,
                       radius_cap=radius_cap, report=report)
 
 
-def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clustering:
+def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None, *,
+                keys: list[int] | None = None) -> Clustering:
     """One weak-diameter clustering execution, computed by a centralized sweep
     that yields the node program's clustering for the same seed.
 
@@ -133,11 +135,16 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clust
     phase budget gives up and is reported in ``failed`` (retry with a new
     seed).
 
-    Per phase, candidates are processed in decreasing (radius, id) order;
-    a bounded BFS through this phase's active vertices claims every vertex
-    for the first (hence maximal) candidacy that reaches it, which is exactly
-    the program's max-of-heard rule.  The sweep stops early once every active
-    vertex is claimed.
+    ``keys`` is ``rng.node_keys(g.n)``, which executions on one graph share.
+    Each phase draws its radii in one ``geometric_draws`` batch, bit-exact
+    with every vertex's ``Stream``.
+
+    Per phase, candidates are processed in decreasing (radius, id) order,
+    from buckets by radius sized by the largest radius drawn, not by the cap,
+    which has no upper bound; a bounded BFS through this phase's active
+    vertices claims every vertex for the first (hence maximal) candidacy that
+    reaches it, which is exactly the program's max-of-heard rule.  The sweep
+    stops early once every active vertex is claimed.
 
     Pruning: ``best[u]`` is the largest remaining radius with which any flood
     of this phase has expanded u.  A later flood that reaches u with no more
@@ -152,7 +159,8 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clust
     """
     radius_cap, phase_budget = _cap_and_budget(g.n, radius_cap)
     n = g.n
-    streams = [Stream(seed, v) for v in range(n)]
+    bases = stream_bases(seed, node_keys(n) if keys is None else keys)
+    counters = [0] * n
     clusters: list[tuple[int, int] | None] = [None] * n
     adjacency = g.adjacency
     best = [-1] * n
@@ -166,14 +174,17 @@ def linial_saks(g: Graph, seed: int = 0, radius_cap: int | None = None) -> Clust
         if not active:
             break
         phases_run = phase + 1
+        geometric_draws(bases, counters, active, radius_cap, radius)
+        buckets = [[] for _ in range(max(map(radius.__getitem__, active)) + 1)]
         for v in active:
-            radius[v] = streams[v].geometric(radius_cap)
+            buckets[radius[v]].append(v)
             best[v] = -1
             center_of[v] = -1
         unclaimed = len(active)
-        for r_w, w in sorted(((radius[v], v) for v in active), reverse=True):
+        for w in chain.from_iterable(map(reversed, reversed(buckets))):
             if not unclaimed:
                 break
+            r_w = radius[w]
             if center_of[w] < 0:
                 center_of[w] = w
                 dist_of[w] = 0
@@ -224,8 +235,9 @@ def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
     if not 2 <= c <= MAX_FACTOR:
         raise ValueError(f"c must be in [2, {MAX_FACTOR}], got {c}")
     cap = default_radius_cap(g.n) if radius_cap is None else radius_cap
+    keys = node_keys(g.n)
     runs = [
-        linial_saks(g, seed=subseed(seed, 0x6E64, i), radius_cap=cap)
+        linial_saks(g, seed=subseed(seed, 0x6E64, i), radius_cap=cap, keys=keys)
         for i in range(1, c + 1)
     ]
     failed = sorted({v for run in runs for v in run.failed})

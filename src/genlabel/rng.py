@@ -12,8 +12,16 @@ run's master seed and its own id.  The derivation is a fixed, documented
   Flood, "Fast splittable pseudorandom number generators", OOPSLA 2014).
 
 Because draw ``j`` of node ``v`` is a pure function of ``(seed, v, j)``,
-``draw_array`` computes the first draws of many fresh streams at once as a
-``uint64`` array; ``Stream.draw_many`` is its reference.
+streams can be drawn in batches, each bit-exact with its ``Stream`` reference:
+
+* ``draw_array`` computes the first draws of many fresh streams at once as a
+  ``uint64`` array; ``Stream.draw_many`` is its reference.
+* ``node_keys(n)`` is the seed-free half ``mix64(v*GAMMA + SALT)`` of every
+  base, which runs under many seeds can share; ``stream_bases(seed, keys)``
+  finishes the bases under one seed.
+* ``geometric_draws`` draws ``Stream.geometric`` for many streams, each from
+  its own counter.  Bound 2 never rejects (its limit is 2^64), so each coin is
+  the low bit of one raw draw.
 
 Bit-exact agreement with other runtimes is not a goal; determinism and
 distinctness of per-node streams are.
@@ -108,6 +116,45 @@ class Stream:
         while value < cap and self.draw_uniform(2) == 1:
             value += 1
         return value
+
+
+def node_keys(n: int) -> list[int]:
+    """``mix64(v*GAMMA + SALT)`` for ``v`` in ``range(n)``: the half of every
+    stream base that does not depend on the seed."""
+    return [mix64((v * GAMMA + _SALT) & MASK64) for v in range(n)]
+
+
+def stream_bases(master_seed: int, keys: list[int]) -> list[int]:
+    """``stream_base(master_seed, v)`` for each ``v``, given ``keys = node_keys(n)``."""
+    seed = master_seed & MASK64
+    bases = []
+    for key in keys:
+        z = seed ^ key
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        bases.append(z ^ (z >> 31))
+    return bases
+
+
+def geometric_draws(bases: list[int], counters: list[int], nodes, cap: int,
+                    out: list[int]) -> None:
+    """Set ``out[v]`` to what ``Stream.geometric(cap)`` returns for ``v`` in
+    ``nodes``, on the stream with base ``bases[v]`` that has taken
+    ``counters[v]`` raw draws, and advance ``counters[v]`` as the stream
+    would: ``value + 1`` draws, or ``cap`` for a truncated value."""
+    for v in nodes:
+        x = bases[v] + counters[v] * GAMMA
+        value = 0
+        while value < cap:
+            x += GAMMA
+            z = x & MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            if not (z ^ (z >> 31)) & 1:
+                break
+            value += 1
+        counters[v] += value + 1 if value < cap else cap  # the tail, if drawn
+        out[v] = value
 
 
 def draw_array(master_seed: int, n: int, count: int, bound: int):

@@ -649,6 +649,13 @@ class TestHugeParams:
         assert proc.returncode == EXIT_CONFIG
         assert proc.stderr == f"error: {message}, got {value}\n"
 
+    def test_huge_radius_cap_runs(self):
+        """B has no upper bound: the sweep sizes its work by the radii drawn,
+        not by the cap, so B=10**9 runs within the limits."""
+        proc = limited_cli(["run", "--algo", "network-decomposition", "--gen",
+                            "gnp:n=64,p=0.1", "--param", "B=1000000000", "--out", os.devnull])
+        assert proc.returncode == EXIT_OK, proc.stderr
+
     def test_bench_row_error_note(self, tmp_path):
         suite = tmp_path / "s.json"
         suite.write_text(json.dumps([{"name": f"row{i}", "algo": tag, "gen": "path:n=3",

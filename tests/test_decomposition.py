@@ -108,6 +108,15 @@ class TestLinialSaks:
         c = linial_saks(g, seed=seed)
         assert c.report.messages_total <= c.phase_count * c.radius_cap * n
 
+    def test_huge_cap_clusters_as_a_reachable_one(self):
+        """A cap far above any radius drawn changes no clustering: no radius
+        reaches 200 here, so caps 200 and 10**9 draw the same radii.  The
+        sweep's per-phase work follows the radii drawn, not the cap."""
+        n = 256
+        g = generate(GeneratorSpec("gnp", n, p=6 / n, seed=4))
+        huge = linial_saks(g, seed=4, radius_cap=10**9)
+        assert huge.clusters == linial_saks(g, seed=4, radius_cap=200).clusters
+
     def test_every_vertex_clustered(self):
         g = generate(GeneratorSpec("gnp", 128, p=0.05, seed=2))
         c = linial_saks(g, seed=5)

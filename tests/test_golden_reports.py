@@ -4,8 +4,9 @@ Each case is one `genlabel run` or `genlabel bench` invocation on generated
 graphs only, so no file path enters its output.  It is pinned to its exit
 code and the sha256 of the bytes it writes: every row of the built-in bench
 suite for seeds 0 and 1 in both formats, the default bench table, and every
-tag on the degenerate graphs path:n=0, path:n=1 and clique:n=2, and two
-cover-free pipeline runs on path:n=400 that take reduction steps.  A change
+tag on the degenerate graphs path:n=0, path:n=1 and clique:n=2, two
+cover-free pipeline runs on path:n=400 that take reduction steps, and one
+network decomposition of twelve multi-phase executions.  A change
 that is meant to keep reports byte-identical must leave every case passing.
 
 Run this file as a script to print the cases with the digests of the code
@@ -72,6 +73,10 @@ CASES = [
      0, "8bed84a8156692603eb866eb923fd2c7cef18047cd4db08f0d484fcab96008f2"),
     ("run --algo network-decomposition --gen gnp:n=256,p=0.023 --seed 1 --format csv --param c=2",
      0, "005d24944e0b33790cfbc0ae71ab08f5f1b1c520f2524aaeb22688392ae815e5"),
+    # twelve executions of one to three phases each: messages_total follows the
+    # sweep's (radius, id) candidate order
+    ("run --algo network-decomposition --gen gnp:n=1024,p=0.00586 --seed 7 --param c=12",
+     0, "5aea76b6181226cbaa930f37ea3e6b093cad9a91b98ec3a7e10814fe1dd27e79"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format json",
      0, "4aed7666d848fb34c3dbae6484c46abc6225b22dc224aa62a663b8223bb76483"),
     ("run --algo forest-id --gen gnp:n=256,p=0.02 --seed 0 --format csv",

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import genlabel
 from genlabel import Graph, GeneratorSpec, generate, run_sync, subseed
-from genlabel.rng import GAMMA, MASK64, Stream, draw_array, mix64, stream_base
+from genlabel.rng import (GAMMA, MASK64, Stream, draw_array, geometric_draws, mix64,
+                          node_keys, stream_base, stream_bases)
 from genlabel.runtime import NodeProgram, RunReport
 
 
@@ -88,6 +89,26 @@ class TestStreams:
         for n, count in ((37, 11), (5, 1), (0, 9), (6, 0)):
             rows = draw_array(seed, n, count, bound).tolist()
             assert rows == [Stream(seed, v).draw_many(count, bound) for v in range(n)]
+
+    @given(st.integers(0, 2**64 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batched_geometric_matches_streams(self, seed, data):
+        """stream_bases is stream_base under one seed, and geometric_draws is
+        Stream.geometric on every listed node: three calls in a row on node
+        subsets, as in successive clustering phases, so the counters carry
+        over exactly as the streams' do."""
+        n = 12
+        bases = stream_bases(seed, node_keys(n))
+        assert bases == [stream_base(seed, v) for v in range(n)]
+        streams = [Stream(seed, v) for v in range(n)]
+        counters, out = [0] * n, [None] * n
+        for _ in range(3):
+            cap = data.draw(st.integers(1, 64), label="cap")
+            nodes = data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted),
+                              label="nodes")
+            geometric_draws(bases, counters, nodes, cap, out)
+            assert [out[v] for v in nodes] == [streams[v].geometric(cap) for v in nodes]
+            assert counters == [s.counter for s in streams]
 
     def test_draw_array_is_the_uint64_matrix(self):
         """draw_array is refused for a bound wider than 64 bits, whose rows
