@@ -36,6 +36,7 @@ from .graphs import GENERATOR_KINDS, GeneratorSpec, Graph, generate, load_edge_l
 from .labels import IntLists, LabelDomain
 from .runtime import RunReport, collector_paused
 from .vertex_coloring import (
+    InvariantError,
     cole_vishkin_3coloring,
     expand_to_generic,
     generic_defective_coloring,
@@ -430,6 +431,9 @@ def cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        except InvariantError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INCOMPLETE
         if not _emit((to_json(doc) + "\n") if args.format == "json"
                      else report_to_csv(doc), args.out):
             return EXIT_CONFIG
@@ -520,7 +524,7 @@ def cmd_bench(args) -> int:
             rows.append((name, str(worst_rounds),
                          "-" if min_domain is None else str(min_domain),
                          max(factors, key=_contingency_rank, default=""), passed, ""))
-        except ValueError as exc:
+        except (ValueError, InvariantError) as exc:
             any_failure = True
             rows.append((name, "-", "-", "-", "error", str(exc)))
     header = ("problem", "rounds(max)", "solution-domain(min)",

@@ -252,7 +252,7 @@ def generic_network_decomposition(g: Graph, c: int = 2, seed: int = 0,
             cl = run.clusters[v]
             if cl is not None:
                 labels.append(i * stride + dense_maps[i][cl])
-        domains[v] = frozenset(labels)
+        domains[v] = tuple(labels)  # increasing: label i*stride + j has j < stride
     dom = LabelDomain(kind="vertex", domains=domains, palette=c * stride,
                       stride=stride)
     report = RunReport.parallel(r.report for r in runs)

@@ -427,7 +427,7 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
                for cls in range(1, s + 1)]
     dominating = frozenset().union(*(match.edges for match in matches))
     domains = {
-        e: frozenset(range((class_of[e] - 1) * t, class_of[e] * t))
+        e: tuple(range((class_of[e] - 1) * t, class_of[e] * t))
         for e in sorted(dominating)
     }
     dom = LabelDomain(kind="edge", domains=domains, palette=t * s, stride=t)

@@ -29,7 +29,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...]
-    edge_index: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
@@ -55,8 +54,7 @@ class Graph:
         for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)),
-                     edge_index=dict(zip(edges, range(len(edges)))))
+        return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
 
     @property
     def m(self) -> int:
@@ -68,6 +66,11 @@ class Graph:
     @cached_property
     def max_degree(self) -> int:
         return max(map(len, self.adjacency), default=0)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Each edge's dense index, built on first use."""
+        return dict(zip(self.edges, range(len(self.edges))))
 
     def edge_id(self, u: int, v: int) -> int:
         return self.edge_index[(u, v) if u < v else (v, u)]

@@ -33,10 +33,14 @@ def draw_count(c: float, n: int) -> int:
 
 @dataclass(frozen=True)
 class LabelDomain:
-    """Map from entities (vertices or edges, by dense index) to label sets."""
+    """Map from entities (vertices or edges, by dense index) to label sets.
+
+    Each domain is held as a strictly increasing tuple of ints, for every
+    tag, and is listed in the report as it is held.  Entities may share one
+    tuple object."""
 
     kind: str  # "vertex" | "edge"
-    domains: dict[int, frozenset[int]] = field(compare=False)
+    domains: dict[int, tuple[int, ...]] = field(compare=False)
     palette: int
     stride: int = 1
 
@@ -52,12 +56,12 @@ class LabelDomain:
         return min(self.sizes(), default=0)
 
     def to_document(self) -> dict:
-        """Stable JSON-ready form: sorted entities, sorted label lists."""
+        """Stable JSON-ready form: sorted entities, each with its label list."""
         return {
             "kind": self.kind,
             "palette": self.palette,
             "stride": self.stride,
-            "domains": IntLists({str(k): sorted(self.domains[k]) for k in sorted(self.domains)}),
+            "domains": IntLists({str(k): list(self.domains[k]) for k in sorted(self.domains)}),
         }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from statistics import median_low
 
 from .graphs import Graph
@@ -82,6 +83,9 @@ def check_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
 
     With every domain non-empty, this holds exactly when every joint
     selection (one label drawn from each domain) is a proper labeling.
+    Vertices may share one domain object, as cv3-expansion's do: a set is
+    built once per distinct object, and each distinct pair of objects that an
+    edge joins is compared once.
     """
     name = "domains-disjoint"
     if dom.kind != "vertex":
@@ -89,13 +93,21 @@ def check_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
     for v in range(g.n):
         if not dom.domains.get(v):
             return _fail(name, "degenerate", f"vertex {v} has an empty domain", v)
-    domains = dom.domains
-    for u, v in g.edges:
-        if not domains[u].isdisjoint(domains[v]):
-            shared = domains[u] & domains[v]
-            return _fail(name, "violated",
-                         f"vertices {u},{v} share label {min(shared)}", [u, v])
-    return _ok(name)
+    domains = list(map(dom.domains.__getitem__, range(g.n)))
+    slot_of: dict[int, int] = {}
+    slots = [slot_of.setdefault(id(d), len(slot_of)) for d in domains]
+    firsts = list({id(d): d for d in domains}.values())  # the objects by slot
+    sets = list(map(frozenset, firsts))
+    pairs = g.edges  # with no domain object shared, slot v is vertex v
+    if len(firsts) < g.n:
+        pairs = set(zip(map(slots.__getitem__, map(itemgetter(0), pairs)),
+                        map(slots.__getitem__, map(itemgetter(1), pairs))))
+    if all(map(frozenset.isdisjoint, map(sets.__getitem__, map(itemgetter(0), pairs)),
+               map(firsts.__getitem__, map(itemgetter(1), pairs)))):
+        return _ok(name)
+    u, v = next((u, v) for u, v in g.edges if not sets[slots[u]].isdisjoint(domains[v]))
+    shared = min(sets[slots[u]].intersection(domains[v]))
+    return _fail(name, "violated", f"vertices {u},{v} share label {shared}", [u, v])
 
 
 def check_domain_floor(dom: LabelDomain, floor: int) -> Verdict:
@@ -114,12 +126,13 @@ def check_edge_domains_disjoint(g: Graph, dom: LabelDomain) -> Verdict:
     for e, d in dom.domains.items():
         if not d:
             return _fail(name, "degenerate", f"edge {e} has an empty domain", e)
+    sets = {e: frozenset(d) for e, d in dom.domains.items()}
     for v in range(g.n):
         incident = [g.edge_id(v, u) for u in g.adjacency[v]]
-        incident = [e for e in incident if e in dom.domains]
+        incident = [e for e in incident if e in sets]
         for i in range(len(incident)):
             for j in range(i + 1, len(incident)):
-                shared = dom.domains[incident[i]] & dom.domains[incident[j]]
+                shared = sets[incident[i]] & sets[incident[j]]
                 if shared:
                     return _fail(name, "violated",
                                  f"edges {incident[i]},{incident[j]} share label "
@@ -150,10 +163,11 @@ def check_defective_domains(g: Graph, dom: LabelDomain, p: int) -> tuple[Verdict
     name = "defective-domains"
     worst = 0
     witness = None
+    sets = {v: frozenset(d) for v, d in dom.domains.items()}
+    empty = frozenset()
     for v in range(g.n):
-        own = dom.domains.get(v, frozenset())
-        for x in own:
-            cnt = sum(1 for u in g.adjacency[v] if x in dom.domains.get(u, frozenset()))
+        for x in dom.domains.get(v, ()):
+            cnt = sum(1 for u in g.adjacency[v] if x in sets.get(u, empty))
             if cnt > worst:
                 worst, witness = cnt, (v, x)
     if worst > p:

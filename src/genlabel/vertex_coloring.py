@@ -131,7 +131,7 @@ def expand_to_generic(coloring, delta: int) -> LabelDomain:
     colors = list(coloring)
     if any(c not in (0, 1, 2) for c in colors):
         raise ValueError("expected a 3-coloring with colors in {0,1,2}")
-    by_color = [frozenset(range(c, 3 * delta, 3)) for c in (0, 1, 2)]
+    by_color = [tuple(range(c, 3 * delta, 3)) for c in (0, 1, 2)]
     domains = {v: by_color[c] for v, c in enumerate(colors)}
     return LabelDomain(kind="vertex", domains=domains, palette=3 * delta, stride=3)
 
@@ -145,7 +145,8 @@ class _DrawPruneProgram(NodeProgram):
     i as ``i*value_range + value``, send the tagged draws to ``receivers[v]``
     and drop anything received.  A node in ``quiet`` is sent nothing, so it
     halts right after its draw; every other node waits one round for its
-    inbox.  The reference the tests check ``_draw_prune_sweep`` against."""
+    inbox.  Its output is the sorted tuple of the labels kept.  The reference
+    the tests check ``_draw_prune_sweep`` against."""
 
     def __init__(self, k: int, value_range: int, receivers, quiet: frozenset):
         self.value_range = value_range
@@ -163,6 +164,9 @@ class _DrawPruneProgram(NodeProgram):
             picks = frozenset(map(add, self.tags, draws))
             return picks, [(u, picks) for u in self.receivers[node]], node in self.quiet
         return state.difference(*[theirs for _, theirs in inbox]), [], True
+
+    def output(self, ctx: NodeContext, state):
+        return tuple(sorted(state))
 
 
 def draw_and_prune(g: Graph, seed: int, k: int, value_range: int, receivers,
@@ -188,9 +192,11 @@ def _draw_prune_sweep(n: int, seed: int, k: int, value_range: int, receivers,
 
     Tags make two draws collide only at the same index, so draw i of a vertex
     survives unless a vertex that sends to it drew the same value at i.  A
-    quiet vertex halts before the exchange and keeps every draw.  The labels
-    are compared one index at a time over the (sender, receiver) arrays, so no
-    array larger than one index's messages is gathered."""
+    quiet vertex halts before the exchange and keeps every draw.  Labels with
+    the same tag differ only in their value, so the draws are compared one
+    index at a time over the (sender, receiver) arrays, and no array larger
+    than one index's messages is gathered.  Draw i's label is below draw
+    i+1's, so each vertex's kept labels come out as an increasing tuple."""
     import numpy as np
 
     palette = value_range * k
@@ -207,12 +213,11 @@ def _draw_prune_sweep(n: int, seed: int, k: int, value_range: int, receivers,
     listening[list(quiet)] = False
     heard = listening[targets]
     senders, targets = senders[heard], targets[heard]
-    keep = np.ones((n, k), dtype=bool)
-    for i in range(k):
-        column = labels[:, i]
-        keep[targets[column[senders] == column[targets]], i] = False
-    kept = iter(labels[keep].tolist())
-    outputs = tuple(frozenset(islice(kept, size)) for size in keep.sum(axis=1).tolist())
+    keep = np.ones((k, n), dtype=bool)
+    for i, row in enumerate(np.ascontiguousarray(draws.T)):
+        keep[i, targets[row[senders] == row[targets]]] = False
+    kept = iter(labels[keep.T].tolist())
+    outputs = tuple(tuple(islice(kept, size)) for size in keep.sum(axis=0).tolist())
     rounds = 0 if n == 0 else 1 if quiet.issuperset(range(n)) else 2
     return RunReport(rounds=rounds, comm_rounds=int(targets.size > 0),
                      messages_total=messages, outputs=outputs)
@@ -240,11 +245,16 @@ def generic_random_coloring(g: Graph, c: float = 4.0, seed: int = 0,
 # cover-free reduction pipeline (proper and defective variants)
 
 
+class InvariantError(RuntimeError):
+    """An invariant of a run broke, such as a proper input coloring: the run
+    failed, not its invocation."""
+
+
 def _reduce_color(fam: PolyFamily, node: int, color: int, neighbor_colors) -> int:
     """The smallest element of ``color``'s set that no neighbor's set covers."""
     mine = fam.elements(color).difference(*[fam.elements(c) for c in neighbor_colors])
     if not mine:
-        raise ValueError(
+        raise InvariantError(
             f"vertex {node}: no uncovered element left; input coloring improper?")
     return min(mine)
 
@@ -387,7 +397,7 @@ def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
     steps, final_prime = _plan_pipeline(g.n, delta, base_prime)
     program = _PipelineProgram(steps, final_prime, rho)
     report = run_sync(program, g, seed, max_rounds=len(steps) + 2)
-    domains = {v: frozenset(report.outputs[v]) for v in range(g.n)}
+    domains = {v: tuple(sorted(report.outputs[v])) for v in range(g.n)}
     dom = LabelDomain(kind="vertex", domains=domains, palette=final_prime**2,
                       stride=final_prime)
     failed = tuple(v for v in range(g.n) if not domains[v])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import genlabel
 from genlabel import (GeneratorSpec, Graph, LabelDomain, cli, decomposition, generate,
-                      load_edge_list, verify)
+                      load_edge_list, verify, vertex_coloring)
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
@@ -159,7 +159,7 @@ class TestToJson:
         assert to_json(doc) == reference_json(doc)
 
     def test_label_domains_are_int_lists(self):
-        doc = LabelDomain("vertex", {2: frozenset({9, 4}), 0: frozenset()}, 10).to_document()
+        doc = LabelDomain("vertex", {2: (4, 9), 0: ()}, 10).to_document()
         assert type(doc["domains"]) is IntLists
         assert doc["domains"] == {"0": [], "2": [4, 9]}
         assert list(doc["domains"]) == ["0", "2"]
@@ -283,6 +283,26 @@ class TestRun:
             "2 vertices induce 0 edges, not more than 1*(2-1))\n")
         assert not out.exists()
 
+    def test_broken_pipeline_invariant_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        """An improper coloring reaching a cover-free reduction step is a
+        broken invariant of the run, not a configuration error: run exits 3
+        with one stderr line and no report, and bench notes it on the row."""
+        monkeypatch.setattr(vertex_coloring._PipelineProgram, "init",
+                            lambda self, ctx: [0, 0, ()])  # every vertex colored 0
+        out = tmp_path / "r.json"
+        assert main(["run", "--algo", "delta2-coloring", "--gen", "path:n=400",
+                     "--seed", "0", "--out", str(out)]) == EXIT_INCOMPLETE
+        message = "vertex 0: no uncovered element left; input coloring improper?"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        suite = tmp_path / "s.json"
+        suite.write_text(json.dumps([{"name": "reducing", "algo": "delta2-coloring",
+                                      "gen": "path:n=400", "seeds": [0]}]))
+        table = tmp_path / "table.txt"
+        assert main(["bench", "--suite", str(suite), "--out", str(table)]) == EXIT_VERDICT
+        row = table.read_text().splitlines()[1]
+        assert "error" in row and message in row
+
     def test_domain_floor_from_the_invocation(self, tmp_path, monkeypatch):
         """delta2-coloring's floor is the given delta (4), not the path's max
         degree (2): a 3-label domain violates it."""
@@ -290,7 +310,7 @@ class TestRun:
 
         def shrunk(g, **kwargs):
             res = entry(g, **kwargs)
-            res.domains.domains[0] = frozenset(sorted(res.domains.domains[0])[:3])
+            res.domains.domains[0] = res.domains.domains[0][:3]
             return res
 
         monkeypatch.setattr(cli, "generic_delta2_coloring", shrunk)
@@ -379,7 +399,7 @@ class TestRun:
 
         def wide(g, seed=0, radius_cap=None, **params):
             res = real(g, seed=seed, radius_cap=radius_cap, **params)
-            domains = {v: frozenset({v // 4, 3 + v // 4}) for v in range(g.n)}
+            domains = {v: (v // 4, 3 + v // 4) for v in range(g.n)}
             return replace(res, domains=LabelDomain(kind="vertex", domains=domains,
                                                     palette=6, stride=3),
                            params={**res.params, "radius_cap": 2 * radius_cap})
@@ -428,7 +448,7 @@ class TestRun:
         def one_bad_class(g, seed=0, **params):
             res = real(g, seed=seed, **params)
             dominating = frozenset({2, 3, 5})  # (2,3), (3,4), (5,6): 2 and 3 meet
-            domains = {e: frozenset(range(3)) for e in sorted(dominating)}
+            domains = {e: (0, 1, 2) for e in sorted(dominating)}
             return replace(res, dominating=dominating,
                            class_of=tuple(int(e in dominating) for e in range(g.m)),
                            domains=LabelDomain(kind="edge", domains=domains, palette=3,
@@ -654,6 +674,14 @@ class TestHugeParams:
         not by the cap, so B=10**9 runs within the limits."""
         proc = limited_cli(["run", "--algo", "network-decomposition", "--gen",
                             "gnp:n=64,p=0.1", "--param", "B=1000000000", "--out", os.devnull])
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+    def test_huge_shared_domains_run(self):
+        """cv3-expansion's vertices share three domain objects of delta labels
+        each, so the check builds three sets, not one per vertex, and a
+        2,000-vertex tree at the largest delta runs within the limits."""
+        proc = limited_cli(["run", "--algo", "cv3-expansion", "--gen", "random-tree:n=2000",
+                            "--param", f"delta={MAX_DELTA}", "--out", os.devnull])
         assert proc.returncode == EXIT_OK, proc.stderr
 
     def test_bench_row_error_note(self, tmp_path):
@@ -906,10 +934,20 @@ def sweep_params(tag: str, max_degree: int) -> list[dict]:
 class TestDegenerateSweep:
     """Every tag on tiny and degenerate graphs, with extreme params: each
     invocation exits 0, 1, 2 or 3, writes at most one error line and no
-    traceback, and writes the same bytes when run twice."""
+    traceback, and writes the same bytes when run twice.  Every label domain
+    a tag builds holds each entity's labels as a strictly increasing tuple of
+    ints."""
 
     @pytest.mark.parametrize("tag", list(ALGORITHMS))
-    def test_tag(self, tag, tmp_path, capsys):
+    def test_tag(self, tag, tmp_path, capsys, monkeypatch):
+        built, checked = [], 0
+        post_init = LabelDomain.__post_init__
+
+        def record(dom):
+            post_init(dom)
+            built.append(dom)
+
+        monkeypatch.setattr(LabelDomain, "__post_init__", record)
         inputs = [(generate(parse_gen_spec(s)), ["--gen", s]) for s in SWEEP_GRAPHS]
         for leaves in SWEEP_STARS:
             star = tmp_path / f"star{leaves}.edges"
@@ -930,6 +968,14 @@ class TestDegenerateSweep:
                     assert err.count("\n") == err.count("error:"), argv
                     outputs.append((code, err, out.read_bytes() if out.exists() else None))
                 assert outputs[0] == outputs[1], argv
+                for dom in built:
+                    for d in dom.domains.values():
+                        assert type(d) is tuple and all(type(x) is int for x in d), argv
+                        assert all(a < b for a, b in zip(d, d[1:])), argv
+                checked += len(built)
+                built.clear()
+        # the tags whose report states per-entity domains, cv3-expansion's by a rule
+        assert bool(checked) == (tag not in ("forest-id", "forest-hpartition", "kuhn-edge"))
 
 
 class TestUnwritableOut:

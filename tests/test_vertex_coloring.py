@@ -58,7 +58,7 @@ class TestColeVishkin:
 class TestExpand:
     def test_direct_construction(self):
         dom = expand_to_generic([2, 0], delta=3)
-        assert dom.domains[0] == frozenset({2, 5, 8})  # (i, 2) -> i*3+2
+        assert dom.domains[0] == (2, 5, 8)  # (i, 2) -> i*3+2
         assert dom.palette == 9
 
     def test_adjacent_domains_disjoint(self):
@@ -116,7 +116,7 @@ class TestRandomColoring:
             res = generic_random_coloring(g, c=4.0, seed=seed, delta=2)
             assert res.params["k"] == k
             for v in (0, 1):
-                assert not (res.domains.domains[v] & shared)
+                assert shared.isdisjoint(res.domains.domains[v])
             break
         assert found
 
