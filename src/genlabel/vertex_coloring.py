@@ -313,7 +313,7 @@ def _residual_by_roots(q: int, color: int, others, rho: int, tables) -> list[int
             if a1:
                 hits[-a0 * inverse[a1] % q] += 1
             elif not a0:
-                raise ValueError("color must not appear among the others")
+                raise InvariantError("color must not appear among the others")
         elif q == 2:  # 2*a2 has no inverse: test both points
             for x in (0, 1):
                 hits[x] += (a0 + (a1 + a2) * x) % 2 == 0
@@ -335,7 +335,8 @@ class _PipelineProgram(NodeProgram):
     and re-color to the smallest element of their polynomial point set not
     covered by any neighbor's set.  The last round keeps, instead of one
     element, every element of the degree-2 family over GF(q_final) covered at
-    most ``rho`` times, counted by ``_residual_by_roots``.
+    most ``rho`` times, counted by ``_residual_by_roots``.  The reference the
+    tests check ``_run_pipeline``'s sweep against.
     """
 
     def __init__(self, steps: list[tuple[int, int]], q_final: int, rho: int):
@@ -385,19 +386,38 @@ def _plan_pipeline(n: int, delta: int, base_prime: int) -> tuple[list[tuple[int,
     return steps, q_final
 
 
-def _run_pipeline(g: Graph, delta: int, rho: int, seed: int) -> DomainsResult:
-    """Plan and run the pipeline from the base prime q >= 3*delta/(rho+1);
-    the domains' stride is the final prime and their palette its square.
-    Its primes and point sets grow with delta, so a realized max degree above
-    MAX_DELTA is refused before any prime is picked."""
+def _run_pipeline(g: Graph, delta: int, rho: int) -> DomainsResult:
+    """Plan the pipeline from the base prime q >= 3*delta/(rho+1) and run it
+    as a centralized sweep; the domains' stride is the final prime and their
+    palette its square.  Its primes and point sets grow with delta, so a
+    realized max degree above MAX_DELTA is refused before any prime is picked.
+
+    Each round of ``_PipelineProgram`` is one pass over the vertices in id
+    order, each reading its neighbours' colours from the previous pass, so
+    the first vertex to break an invariant is the program's.  The report is
+    the program's, stated from the plan: t + 2 rounds for t reduction steps,
+    the last t + 1 of them deliveries, and 2m messages in each of the first
+    t + 1; the budget of t + 2 rounds never runs out.  It lists no outputs.
+    """
     if delta > MAX_DELTA:
         raise ValueError(f"max degree must be at most {MAX_DELTA} for the "
                          f"cover-free pipeline, got {delta}")
     base_prime = smallest_prime_geq(max(-(-3 * delta // (rho + 1)), 2))
     steps, final_prime = _plan_pipeline(g.n, delta, base_prime)
-    program = _PipelineProgram(steps, final_prime, rho)
-    report = run_sync(program, g, seed, max_rounds=len(steps) + 2)
-    domains = {v: tuple(sorted(report.outputs[v])) for v in range(g.n)}
+    adjacency = g.adjacency
+    colors = list(range(g.n))
+    for d, q in steps:
+        fam = PolyFamily(q=q, d=d)
+        colors = [_reduce_color(fam, v, color, [colors[u] for u in adjacency[v]])
+                  for v, color in enumerate(colors)]
+    tables = _field_tables(final_prime)
+    # each residual set lists its abscissas in increasing order, so it is sorted
+    domains = {v: tuple(_residual_by_roots(
+        final_prime, color, [colors[u] for u in adjacency[v] if colors[u] != color],
+        rho, tables)) for v, color in enumerate(colors)}
+    t = len(steps)
+    report = RunReport(rounds=t + 2 if g.n else 0, comm_rounds=t + 1 if g.m else 0,
+                       messages_total=2 * g.m * (t + 1))
     dom = LabelDomain(kind="vertex", domains=domains, palette=final_prime**2,
                       stride=final_prime)
     failed = tuple(v for v in range(g.n) if not domains[v])
@@ -416,7 +436,7 @@ def generic_delta2_coloring(g: Graph, delta: int | None = None,
     >= 3*delta: iterated cover-free reductions from the id-coloring, then one
     residual round that keeps every uncovered element (at least delta of them).
     """
-    return _run_pipeline(g, _degree_bound(g, delta), rho=0, seed=seed)
+    return _run_pipeline(g, _degree_bound(g, delta), rho=0)
 
 
 def generic_defective_coloring(g: Graph, p: int, delta: int | None = None,
@@ -429,7 +449,7 @@ def generic_defective_coloring(g: Graph, p: int, delta: int | None = None,
     delta = _degree_bound(g, delta)
     if not 1 <= p <= delta:
         raise ValueError(f"p must be in [1, {delta}], got {p}")
-    result = _run_pipeline(g, delta, rho=p, seed=seed)
+    result = _run_pipeline(g, delta, rho=p)
     result.params["p"] = p
     result.params["domain_floor"] = max(1, delta // (4 * (p + 1)))
     return result

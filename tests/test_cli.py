@@ -16,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import genlabel
-from genlabel import (GeneratorSpec, Graph, LabelDomain, cli, decomposition, generate,
-                      load_edge_list, verify, vertex_coloring)
+from genlabel import (GeneratorSpec, Graph, LabelDomain, PolyFamily, cli, decomposition,
+                      generate, load_edge_list, verify)
 from genlabel.cli import (
     ALGORITHMS,
     DEFAULT_SUITE,
@@ -287,8 +287,8 @@ class TestRun:
         """An improper coloring reaching a cover-free reduction step is a
         broken invariant of the run, not a configuration error: run exits 3
         with one stderr line and no report, and bench notes it on the row."""
-        monkeypatch.setattr(vertex_coloring._PipelineProgram, "init",
-                            lambda self, ctx: [0, 0, ()])  # every vertex colored 0
+        shared = frozenset(range(3))  # every colour's point set is the same
+        monkeypatch.setattr(PolyFamily, "elements", lambda self, index: shared)
         out = tmp_path / "r.json"
         assert main(["run", "--algo", "delta2-coloring", "--gen", "path:n=400",
                      "--seed", "0", "--out", str(out)]) == EXIT_INCOMPLETE

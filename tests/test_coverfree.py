@@ -16,7 +16,7 @@ from genlabel import (
     verify_cover_free,
 )
 from genlabel.coverfree import ExhaustiveBudgetError, is_prime
-from genlabel.vertex_coloring import _field_tables, _residual_by_roots
+from genlabel.vertex_coloring import InvariantError, _field_tables, _residual_by_roots
 
 
 def naive_set(q, d, index):
@@ -170,7 +170,7 @@ class TestResidualByRoots:
             residual_elements(PolyFamily(q, 2), color, others, rho))
 
     def test_color_in_others_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             _residual_by_roots(5, 7, [3, 7], 0, _field_tables(5))
 
 

@@ -1,12 +1,14 @@
 """The benchmark's tracer (perfbench/layers.py) rebinds genlabel functions by
 name from outside the package.  These tests run it in a child process over
-five golden invocations: the traced reports must equal the goldens, and each
+six golden invocations: the traced reports must equal the goldens, and each
 traced layer must record work, so a refactor that renames or bypasses a
 rebound name fails here instead of silently zeroing a per-layer metric.
 
 The fifth invocation, delta2-coloring on path:n=400, takes a reduction step:
 the residual round counts polynomial roots and builds no point set, so only
-the reduction steps still call ``PolyFamily.set_elements``."""
+the reduction steps still call ``PolyFamily.set_elements``.  The four tags
+and the pipeline run as centralized sweeps, so the sixth, cv3-expansion on a
+random tree, is the one whose Cole-Vishkin rounds still reach ``run_sync``."""
 
 import json
 import os
@@ -22,7 +24,8 @@ TAGS = ("random-coloring", "network-decomposition", "dominating-edge", "edge-del
 REDUCING = "run --algo delta2-coloring --gen path:n=400 --seed 0 --format json"
 TRACED = [case for case in CASES for tag in TAGS
           if case[0].startswith(f"run --algo {tag} ") and "--seed 0 --format json" in case[0]]
-TRACED += [case for case in CASES if case[0] == REDUCING]
+ROUND_ENGINE = "run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format json"
+TRACED += [case for case in CASES if case[0] in (REDUCING, ROUND_ENGINE)]
 LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s",
           "decomposition.flood_messages", "decomposition.phases", "graphs.line_graph_s",
           "coverfree.set_elements_calls", "verify.check_s",
@@ -48,7 +51,7 @@ print(json.dumps({"results": results, "setup": tracer.setup}))
 
 
 def test_traced_reports_match_goldens_and_layers_record(tmp_path):
-    assert len(TRACED) == len(TAGS) + 1
+    assert len(TRACED) == len(TAGS) + 2
     src = Path(genlabel.__file__).resolve().parents[1]
     commands = [command for command, _, _ in TRACED]
     proc = subprocess.run(

@@ -127,6 +127,41 @@ class TestEdgeDomainsDisjoint:
         with pytest.raises(ValueError, match="applies to edge domains"):
             check_edge_domains_disjoint(path4, vdom(8, {0}, {1}, {2}, {3}))
 
+    @staticmethod
+    def pairwise_scan(g, dom):
+        """The check's definition: intersect every pair of domains held by
+        edges at each vertex, in adjacency order."""
+        name = "edge-domains-disjoint"
+        for e, d in dom.domains.items():
+            if not d:
+                return Verdict(name, False, "degenerate", f"edge {e} has an empty domain", e)
+        sets = {e: frozenset(d) for e, d in dom.domains.items()}
+        for v in range(g.n):
+            incident = [e for e in (g.edge_id(v, u) for u in g.adjacency[v]) if e in sets]
+            for i, a in enumerate(incident):
+                for b in incident[i + 1:]:
+                    if sets[a] & sets[b]:
+                        return Verdict(name, False, "violated",
+                                       f"edges {a},{b} share label "
+                                       f"{min(sets[a] & sets[b])} at vertex {v}", [a, b])
+        return Verdict(name, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_counting_matches_pairwise_scan(self, data):
+        """Domains drawn from six labels, sorted with repeats allowed, some
+        empty and some missing from the map, on a random graph of 1 to 7
+        vertices: the counting check gives the scan's verdict."""
+        n = data.draw(st.integers(1, 7))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph.from_edges(n, data.draw(st.lists(st.sampled_from(pairs), max_size=12))
+                             if pairs else [])
+        domain = st.lists(st.integers(0, 5), max_size=4).map(lambda d: tuple(sorted(d)))
+        held = data.draw(st.lists(st.none() | domain, min_size=g.m, max_size=g.m))
+        dom = LabelDomain(kind="edge", palette=6,
+                          domains={e: d for e, d in enumerate(held) if d is not None})
+        assert check_edge_domains_disjoint(g, dom) == self.pairwise_scan(g, dom)
+
 
 class TestDefective:
     def test_proper_coloring_defect_zero(self, triangle):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from genlabel import (
@@ -5,25 +7,36 @@ from genlabel import (
     Graph,
     Stream,
     cole_vishkin_3coloring,
+    edge_coloring_via_line_graph,
     expand_to_generic,
     generate,
     generic_defective_coloring,
     generic_delta2_coloring,
     generic_random_coloring,
+    line_graph,
     log_star,
     orient_by_id,
     orient_forest,
     smallest_prime_geq,
+    vertex_coloring,
 )
 from genlabel.decomposition import h_partition
 from genlabel.runtime import run_sync
-from genlabel.vertex_coloring import _DrawPruneProgram, draw_and_prune
+from genlabel.vertex_coloring import (
+    InvariantError,
+    PolyFamily,
+    _DrawPruneProgram,
+    _PipelineProgram,
+    _run_pipeline,
+    draw_and_prune,
+)
 from genlabel.verify import (
     check_defective_domains,
     check_domains_disjoint,
     check_proper_vertex,
     metrics,
 )
+from test_edge_coloring import SWEEP_GRAPHS
 
 
 class TestColeVishkin:
@@ -262,6 +275,72 @@ class TestDelta2:
         assert res.params["reduction_steps"]
         assert check_domains_disjoint(g, res.domains).ok
         assert res.domains.min_size >= 2
+
+
+# graphs whose pipelines take one or two reduction steps for rho in {0, 1, 2}
+REDUCING_GRAPHS = [generate(GeneratorSpec("path", 400)),
+                   generate(GeneratorSpec("random-tree", 2000, max_deg=3, seed=0))]
+
+
+class TestPipelineMatchesProgram:
+    """``_run_pipeline``'s sweep gives the domains and the report of
+    ``_PipelineProgram`` under ``run_sync`` with the program's budget."""
+
+    @staticmethod
+    def assert_matches(g, delta, rho):
+        res = _run_pipeline(g, delta, rho)
+        steps = [tuple(s) for s in res.params["reduction_steps"]]
+        program = _PipelineProgram(steps, res.domains.stride, rho)
+        reference = run_sync(program, g, 0, max_rounds=len(steps) + 2)
+        assert res.domains.domains == {v: tuple(sorted(reference.outputs[v]))
+                                       for v in range(g.n)}
+        assert res.report == replace(reference, outputs=())
+        return res
+
+    @pytest.mark.parametrize("g", SWEEP_GRAPHS + REDUCING_GRAPHS)
+    @pytest.mark.parametrize("rho", [0, 1, 2])
+    def test_graph(self, g, rho):
+        self.assert_matches(g, max(g.max_degree, 1), rho)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_line_graph(self, seed):
+        g = generate(GeneratorSpec("gnp", 40, p=0.1, seed=seed))
+        for rho in (0, 1, 2):
+            self.assert_matches(line_graph(g), 2 * g.max_degree - 1, rho)
+
+    def test_reduction_steps_taken(self):
+        assert all(_run_pipeline(g, g.max_degree, rho).params["reduction_steps"]
+                   for g in REDUCING_GRAPHS for rho in (0, 1, 2))
+
+    def test_production_never_reaches_run_sync(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_sync called")
+        monkeypatch.setattr(vertex_coloring, "run_sync", refuse)
+        g = REDUCING_GRAPHS[0]
+        generic_delta2_coloring(g)
+        generic_defective_coloring(g, p=1)
+        edge_coloring_via_line_graph(generate(GeneratorSpec("gnp", 40, p=0.1, seed=0)),
+                                     variant="delta2")
+
+    def test_neighbours_sharing_the_colour_are_not_counted(self, monkeypatch):
+        """A hand-off colouring in which pairs of path neighbours share a colour:
+        the residual round leaves those neighbours out, as the program does."""
+        monkeypatch.setattr(vertex_coloring, "_reduce_color",
+                            lambda fam, node, color, others: node // 2)
+        self.assert_matches(REDUCING_GRAPHS[0], 2, 0)
+
+    def test_first_broken_vertex_is_the_programs(self, monkeypatch):
+        """With point sets cut to one element, some vertex's set is covered;
+        the sweep raises for the same vertex as the program."""
+        monkeypatch.setattr(PolyFamily, "elements", lambda self, i: frozenset({i % 7}))
+        g = REDUCING_GRAPHS[1]
+        with pytest.raises(InvariantError) as sweep:
+            _run_pipeline(g, g.max_degree, 0)
+        program = _PipelineProgram([(2, 13)], 11, 0)  # the tree's plan for rho 0
+        with pytest.raises(InvariantError) as reference:
+            run_sync(program, g, 0, max_rounds=3)
+        assert str(sweep.value) == str(reference.value)
+        assert not str(sweep.value).startswith("vertex 0:")
 
 
 class TestDefective:
