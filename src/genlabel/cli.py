@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -145,7 +146,7 @@ def _disjoint(g: Graph, seed: int, params: dict, entry: str, check: str, **fixed
 
 
 def _delta2_coloring(g: Graph, seed: int, params: dict):
-    res = generic_delta2_coloring(g, seed=seed, **params)
+    res = generic_delta2_coloring(g, **params)
     floor = max(1, params.get("delta") or g.max_degree or 1)
     verdicts = [verify.check_domains_disjoint(g, res.domains),
                 verify.check_domain_floor(res.domains, floor)]
@@ -153,7 +154,7 @@ def _delta2_coloring(g: Graph, seed: int, params: dict):
 
 
 def _defective_coloring(g: Graph, seed: int, params: dict):
-    res = generic_defective_coloring(g, seed=seed, **params)
+    res = generic_defective_coloring(g, **params)
     verdict, worst = verify.check_defective_domains(g, res.domains, params["p"])
     return _body(res.params, res.report, [verdict], res.domains, res.failed,
                  {"measured_defect": worst}), [verdict]
@@ -363,8 +364,9 @@ def to_json(doc, newline: str = "\n") -> str:
     the bulk of a report, are written here, without the pure-Python encoder
     that ``indent`` falls back to; containers follow json's isinstance rules,
     and every other value goes through ``json.dumps``; an ``IntLists``, such
-    as a report's label domains, is written in one join.  ``newline`` is the
-    line break and indent of the enclosing level."""
+    as a report's label domains, is written in one join, and a list of flat
+    int records from one template.  ``newline`` is the line break and indent
+    of the enclosing level."""
     kind = type(doc)
     if kind is int:
         return str(doc)
@@ -384,9 +386,33 @@ def to_json(doc, newline: str = "\n") -> str:
             return "[]"
         if list(map(type, doc)).count(int) == len(doc):  # exact ints: no bools
             return repr(list(doc))
-        items = [to_json(x, inner) for x in doc]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        items = _records(doc, inner)
+        if items is None:
+            items = ("," + inner).join([to_json(x, inner) for x in doc])
+        return "[" + inner + items + newline + "]"
     return json.dumps(doc)
+
+
+def _records(doc, inner: str) -> str | None:
+    """The items of ``doc`` as ``to_json`` writes them, joined, when ``doc``
+    is a list of non-empty dicts with the same exact-str or exact-int keys in
+    the same order and exact-int values, written from one template; else
+    None.  Unlike keys of other types, equal ones of these have equal text."""
+    first = doc[0]
+    if type(first) is not dict or not first:
+        return None
+    head = tuple(first)
+    if (list(map(type, doc)).count(dict) != len(doc)
+            or list(map(tuple, doc)).count(head) != len(doc)
+            or not set(map(type, chain.from_iterable(doc))) <= {str, int}):
+        return None
+    values = tuple(chain.from_iterable(map(dict.values, doc)))
+    if list(map(type, values)).count(int) != len(values):
+        return None
+    field = inner + "  "
+    row = "{" + field + ("," + field).join(
+        _json_key(key).replace("%", "%%") + ": %d" for key in head) + inner + "}"
+    return ("," + inner).join([row] * len(doc)) % values
 
 
 def _json_key(key) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .graphs import Graph, line_graph, line_graph_size
 from .labels import MAX_FACTOR, LabelDomain
 from .results import DomainsResult
-from .rng import Stream, subseed
+from .rng import node_keys, stream_bases, subseed, u64_draws, uniform_draws
 from .runtime import NodeContext, NodeProgram, RunReport, run_sync
 from .vertex_coloring import generic_delta2_coloring, generic_random_coloring
 
@@ -38,7 +38,7 @@ def edge_coloring_via_line_graph(g: Graph, variant: str = "random",
     if variant == "random":
         base = generic_random_coloring(lg, c=c, seed=seed, delta=bound)
     elif variant == "delta2":
-        base = generic_delta2_coloring(lg, delta=bound, seed=seed)
+        base = generic_delta2_coloring(lg, delta=bound)
     else:
         raise ValueError(f"variant must be 'random' or 'delta2', got {variant!r}")
     dom = LabelDomain(kind="edge", domains=base.domains.domains, palette=base.domains.palette,
@@ -180,7 +180,7 @@ class _ProposalColoringProgram(NodeProgram):
 
 
 def simple_edge_coloring(g: Graph, palette_size: int | None = None,
-                         seed: int = 0) -> RunReport:
+                         seed: int = 0, keys: list[int] | None = None) -> RunReport:
     """Proper edge coloring by repeated random proposals on the line graph;
     the report's ``outputs[e]`` is edge e's color.
 
@@ -188,17 +188,19 @@ def simple_edge_coloring(g: Graph, palette_size: int | None = None,
     exists); with 3*max_degree or more it terminates in logarithmically many
     rounds with high probability, else the report is flagged incomplete.
     The run is ``_ProposalColoringProgram`` on L(G), computed as a sweep
-    over G that builds no L(G).
+    over G that builds no L(G).  ``keys`` is ``rng.node_keys(k)`` for some
+    k >= m, which runs on one graph can share.
     """
     delta = max(g.max_degree, 1)
     palette = 3 * delta if palette_size is None else palette_size
     if palette < 2 * delta - 1:
         raise ValueError(f"palette {palette} below 2*max_degree-1 = {2 * delta - 1}")
     line_graph_size(g)
-    return _proposal_sweep(g, palette, seed, max_rounds=24 * (int(math.log2(g.m + 2)) + 2))
+    return _proposal_sweep(g, palette, seed, 24 * (int(math.log2(g.m + 2)) + 2), keys)
 
 
-def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int) -> RunReport:
+def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int,
+                    keys: list[int] | None = None) -> RunReport:
     """``run_sync(_ProposalColoringProgram(palette), line_graph(g), seed,
     max_rounds)``, report for report, replayed on G.
 
@@ -214,7 +216,8 @@ def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int) -> RunRe
     deg = [len(a) for a in g.adjacency]
     fan = [deg[u] + deg[v] - 2 for u, v in edges]
     used: list[set[int]] = [set() for _ in range(g.n)]
-    streams = [Stream(seed, e) for e in range(g.m)]
+    bases = stream_bases(seed, node_keys(g.m) if keys is None else keys[:g.m])
+    counters = [0] * g.m
     colors: list[int | None] = [None] * g.m
     live = list(range(g.m))
     fixed_at: set[int] = set()  # the endpoints of the edges fixed last round
@@ -225,11 +228,11 @@ def _proposal_sweep(g: Graph, palette: int, seed: int, max_rounds: int) -> RunRe
             u in fixed_at or v in fixed_at for u, v in map(edges.__getitem__, live))
         rounds += 1
         proposals = []
-        for e in live:
+        draws = uniform_draws(bases, counters, live, [
+            palette - len(used[u] | used[v]) for u, v in map(edges.__getitem__, live)])
+        for e, color in zip(live, draws):
             u, v = edges[e]
-            taken = used[u] | used[v]
-            color = streams[e].draw_uniform(palette - len(taken))
-            for x in sorted(taken):
+            for x in sorted(used[u] | used[v]):
                 if x > color:
                     break
                 color += 1
@@ -312,7 +315,8 @@ class _MatchingProgram(NodeProgram):
         return state[1]
 
 
-def maximal_matching(g: Graph, edges, seed: int = 0) -> Matching:
+def maximal_matching(g: Graph, edges, seed: int = 0,
+                     keys: list[int] | None = None) -> Matching:
     """Distributed maximal matching by symmetric random proposals among the
     G edges whose ids are in ``edges``, returned as G's edge ids.
 
@@ -320,13 +324,15 @@ def maximal_matching(g: Graph, edges, seed: int = 0) -> Matching:
     guaranteed; with high probability the run finishes within its logarithmic
     round budget, else it is flagged incomplete.  The run is
     ``_MatchingProgram`` on G's vertices and those edges, computed as a sweep.
+    ``keys`` is ``rng.node_keys(k)`` for some k >= n.
     """
-    report = _matching_sweep(g, edges, seed, max_rounds=48 * (int(math.log2(g.n + 2)) + 2))
+    report = _matching_sweep(g, edges, seed, 48 * (int(math.log2(g.n + 2)) + 2), keys)
     return Matching(edges=frozenset(g.edge_id(v, u) for v, u in enumerate(report.outputs)
                                     if u is not None), report=report)
 
 
-def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int) -> RunReport:
+def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int,
+                    keys: list[int] | None = None) -> RunReport:
     """``run_sync(_MatchingProgram(), H, seed, max_rounds)``, report for
     report, where H has G's vertices and the G edges whose ids are in
     ``edges``; replayed over the vertices that still have a free neighbor.
@@ -334,7 +340,9 @@ def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int) -> RunReport:
     The live vertices run keys, pick and resolve in lock-step, so a live
     vertex's free neighbors are exactly its unmatched neighbors, and in a
     pick round each of them has sent it a key.  A vertex draws one key per
-    free neighbor, in sorted order, from its own stream.
+    free neighbor, in sorted order, from its own stream.  For a fixed v,
+    ordering edges by (lo, hi) is ordering them by u, so v picks the largest
+    ``(key xor) * n + u``.
 
     Every round after the first delivers a message to a live vertex: keys
     and picks go to live vertices, and a component of free vertices that
@@ -345,22 +353,27 @@ def _matching_sweep(g: Graph, edges, seed: int, max_rounds: int) -> RunReport:
     for u, v in map(g.edges.__getitem__, edges):
         free.setdefault(u, set()).add(v)
         free.setdefault(v, set()).add(u)
-    streams = {v: Stream(seed, v) for v in free}
-    partner: list[int | None] = [None] * g.n
-    live = g.n
+    keys = node_keys(g.n) if keys is None else keys
+    bases = dict(zip(free, stream_bases(seed, [keys[v] for v in free])))
+    counters = dict.fromkeys(free, 0)
+    n = g.n
+    partner: list[int | None] = [None] * n
+    live = n
     rounds = messages = 0
     while live and rounds < max_rounds:
         phase = rounds % 3
         if phase == 0:  # keys: a vertex left without free neighbors halts
             free = {v: nbrs for v, nbrs in free.items() if nbrs}
-            keys = {}
+            drawn = {}
             for v, nbrs in free.items():
-                draw = streams[v].draw_u64
-                keys[v] = {u: draw() for u in sorted(nbrs)}
-                messages += len(nbrs)
+                order = sorted(nbrs)
+                drawn[v] = dict(zip(order, u64_draws(bases, counters, v, len(order))))
+                messages += len(order)
         elif phase == 1:  # pick: the strongest edge by (key xor, lo, hi)
-            pick = {v: max(nbrs, key=lambda u: (keys[v][u] ^ keys[u][v], min(u, v), max(u, v)))
-                    for v, nbrs in free.items()}
+            pick = {}
+            for v, nbrs in free.items():
+                mine = drawn[v]
+                pick[v] = max([(mine[u] ^ drawn[u][v]) * n + u for u in nbrs]) % n
             messages += len(free)
         else:  # resolve: mutual picks match and tell their other free neighbors
             matched = {v for v, u in pick.items() if pick[u] == v}
@@ -415,15 +428,16 @@ def dominating_edge_coloring(g: Graph, c: int = 3, t: int = 3,
     s = math.isqrt(delta - 1) + 1  # ceil(sqrt(delta))
     base_palette = c * delta
     width = -(-base_palette // s)
+    keys = node_keys(max(g.n, g.m))
     coloring = simple_edge_coloring(g, palette_size=base_palette,
-                                    seed=subseed(seed, 0x6563))
+                                    seed=subseed(seed, 0x6563), keys=keys)
     class_of = tuple(
         col // width + 1 if col is not None else 0
         for col in coloring.outputs)
     members: list[list[int]] = [[] for _ in range(s + 1)]  # class 0: uncolored
     for e, cls in enumerate(class_of):
         members[cls].append(e)
-    matches = [maximal_matching(g, members[cls], seed=subseed(seed, 0x6D6D, cls))
+    matches = [maximal_matching(g, members[cls], seed=subseed(seed, 0x6D6D, cls), keys=keys)
                for cls in range(1, s + 1)]
     dominating = frozenset().union(*(match.edges for match in matches))
     domains = {

@@ -22,6 +22,8 @@ streams can be drawn in batches, each bit-exact with its ``Stream`` reference:
 * ``geometric_draws`` draws ``Stream.geometric`` for many streams, each from
   its own counter.  Bound 2 never rejects (its limit is 2^64), so each coin is
   the low bit of one raw draw.
+* ``u64_draws`` and ``uniform_draws`` draw ``Stream.draw_u64`` and
+  ``Stream.draw_uniform`` from a base and a counter, rejections included.
 
 Bit-exact agreement with other runtimes is not a goal; determinism and
 distinctness of per-node streams are.
@@ -155,6 +157,46 @@ def geometric_draws(bases: list[int], counters: list[int], nodes, cap: int,
             value += 1
         counters[v] += value + 1 if value < cap else cap  # the tail, if drawn
         out[v] = value
+
+
+def u64_draws(bases, counters, v, count: int) -> list[int]:
+    """What ``count`` calls of ``Stream.draw_u64`` return on the stream with
+    base ``bases[v]`` that has taken ``counters[v]`` raw draws; advances
+    ``counters[v]`` by ``count``."""
+    x = bases[v] + counters[v] * GAMMA
+    counters[v] += count
+    draws = []
+    for _ in range(count):
+        x += GAMMA
+        z = x & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        draws.append(z ^ (z >> 31))
+    return draws
+
+
+def uniform_draws(bases, counters, nodes, bounds) -> list[int]:
+    """``Stream.draw_uniform(bound)`` on stream ``v``, named as in
+    ``u64_draws``, for each ``v, bound`` in ``zip(nodes, bounds)``, for a
+    bound in [1, 2**64]; advances ``counters[v]`` by the raw draws taken,
+    the rejected ones included."""
+    draws = []
+    for v, bound in zip(nodes, bounds):
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
+        limit = (1 << 64) - ((1 << 64) % bound)
+        base, count = bases[v], counters[v]
+        while True:
+            count += 1
+            z = (base + count * GAMMA) & MASK64
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+            z ^= z >> 31
+            if z < limit:
+                break
+        counters[v] = count
+        draws.append(z % bound)
+    return draws
 
 
 def draw_array(master_seed: int, n: int, count: int, bound: int):

@@ -430,8 +430,7 @@ def _run_pipeline(g: Graph, delta: int, rho: int) -> DomainsResult:
     return DomainsResult(domains=dom, report=report, params=params, failed=failed)
 
 
-def generic_delta2_coloring(g: Graph, delta: int | None = None,
-                            seed: int = 0) -> DomainsResult:
+def generic_delta2_coloring(g: Graph, delta: int | None = None) -> DomainsResult:
     """Deterministic generic coloring with palette q^2, q the smallest prime
     >= 3*delta: iterated cover-free reductions from the id-coloring, then one
     residual round that keeps every uncovered element (at least delta of them).
@@ -439,8 +438,7 @@ def generic_delta2_coloring(g: Graph, delta: int | None = None,
     return _run_pipeline(g, _degree_bound(g, delta), rho=0)
 
 
-def generic_defective_coloring(g: Graph, p: int, delta: int | None = None,
-                               seed: int = 0) -> DomainsResult:
+def generic_defective_coloring(g: Graph, p: int, delta: int | None = None) -> DomainsResult:
     """Generic p-defective coloring: proper reductions while the palette is
     large, then a single residual round keeping elements covered at most p
     times.  Any joint selection has defect at most p because at most p

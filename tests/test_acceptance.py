@@ -169,7 +169,7 @@ def test_criterion_04_defective_coloring():
     families = conforming_gnp(1024, 5 / 1023, 16, 20)
     for p in (1, 2, 4):
         for seed, g in families:
-            res = generic_defective_coloring(g, p=p, delta=16, seed=seed)
+            res = generic_defective_coloring(g, p=p, delta=16)
             verdict, worst = check_defective_domains(g, res.domains, p)
             assert verdict.ok, f"defect {worst} > {p} at seed {seed}"
             assert res.report.comm_rounds <= log_star(g.n) + ROUND_CONSTANT

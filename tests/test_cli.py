@@ -170,6 +170,36 @@ class TestToJson:
     def test_bool_in_int_list_is_true(self):
         assert to_json([1, True]) == "[\n  1,\n  true\n]"
 
+    @given(st.lists(st.text(st.characters(exclude_categories=())) | st.integers()
+                    | st.sampled_from(["%", "%d", '"', '%s"%%', "\\"]),
+                    min_size=1, max_size=4, unique=True), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_records_equal_json(self, keys, data):
+        """A list of flat dicts with the same keys in the same order and
+        exact-int values is written from one template, byte for byte as json
+        writes it, at any depth."""
+        value = st.integers() | st.sampled_from([2**64, -(2**200), 10**40])
+        rows = data.draw(st.lists(st.lists(value, min_size=len(keys), max_size=len(keys)),
+                                  min_size=1, max_size=8))
+        records = [dict(zip(keys, row)) for row in rows]
+        assert cli._records(records, "\n  ") is not None
+        for doc in (records, {"edges": records}, [{"x": tuple(records)}, 1]):
+            assert to_json(doc) == json.dumps(doc, indent=2) == reference_json(doc)
+
+    @pytest.mark.parametrize("records", [
+        [{"a": 1}, {"a": True}], [{"a": None}], [{"a": 1, "b": "x"}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {}], [{}, {"a": 1}],
+        [{"a": 1}, {"a": [1]}], [{1: 5}, {True: 5}], [{1: 5}, {1.0: 5}],
+        [{"a": 1}, IntLists(a=1)], [{"a": 1}, 2], [{Level.LOW: 1}], [{"a": Level.LOW}],
+    ], ids=repr)
+    def test_other_record_lists_fall_back(self, records):
+        """Other values, another key order, an empty dict, a nested list, keys
+        equal across rows but written differently, or a row that is not a
+        plain dict: the list takes the recursive path."""
+        assert cli._records(records, "\n  ") is None
+        assert to_json(records) == reference_json(records)
+        assert json.loads(to_json(records)) == json.loads(json.dumps(records))
+
     @pytest.mark.parametrize("doc", [{(1, 2): 0}, [object()], {"a": {1, 2}}], ids=repr)
     def test_unserializable_raises_like_json(self, doc):
         with pytest.raises(TypeError):

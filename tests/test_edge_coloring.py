@@ -234,13 +234,20 @@ class TestSweepsMatchPrograms:
                         _MatchingProgram(), h, seed, max_rounds=budget)
 
     def test_matching_key_ties(self, monkeypatch):
-        """Keys cut to two bits tie often, so picks fall to the (lo, hi) order."""
-        draw_u64 = Stream.draw_u64
+        """Keys cut to two bits tie often, so picks fall to the (lo, hi) order.
+        Both draw paths are cut, the program's ``Stream.draw_u64`` and the
+        sweep's ``u64_draws``, and the cut changes the sweep's reports, so a
+        cut that missed either path would fail."""
+        runs = [(g, seed) for g in SWEEP_GRAPHS for seed in (0, 5)]
+        uncut = [_matching_sweep(g, range(g.m), seed, 10_000) for g, seed in runs]
+        draw_u64, u64_draws = Stream.draw_u64, edge_coloring.u64_draws
         monkeypatch.setattr(Stream, "draw_u64", lambda self: draw_u64(self) & 3)
-        for g in SWEEP_GRAPHS:
-            for seed in (0, 5):
-                assert _matching_sweep(g, range(g.m), seed, 10_000) == run_sync(
-                    _MatchingProgram(), g, seed, max_rounds=10_000)
+        monkeypatch.setattr(edge_coloring, "u64_draws",
+                            lambda *args: [key & 3 for key in u64_draws(*args)])
+        cut = [_matching_sweep(g, range(g.m), seed, 10_000) for g, seed in runs]
+        assert cut == [run_sync(_MatchingProgram(), g, seed, max_rounds=10_000)
+                       for g, seed in runs]
+        assert cut != uncut
 
     def test_budgets_run_out(self):
         """The short budgets above stop runs part way, with some edges done."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import genlabel
 from genlabel import Graph, GeneratorSpec, generate, run_sync, subseed
 from genlabel.rng import (GAMMA, MASK64, Stream, draw_array, geometric_draws, mix64,
-                          node_keys, stream_base, stream_bases)
+                          node_keys, stream_base, stream_bases, u64_draws, uniform_draws)
 from genlabel.runtime import NodeProgram, RunReport
 
 
@@ -109,6 +109,53 @@ class TestStreams:
             geometric_draws(bases, counters, nodes, cap, out)
             assert [out[v] for v in nodes] == [streams[v].geometric(cap) for v in nodes]
             assert counters == [s.counter for s in streams]
+
+    @given(st.integers(0, 2**64 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_counter_draws_match_streams(self, seed, data):
+        """u64_draws and uniform_draws are Stream.draw_u64 and
+        Stream.draw_uniform, values and counters, on streams that have
+        already drawn, in calls that may list a stream more than once."""
+        n = 5
+        bases = stream_bases(seed, node_keys(n))
+        streams = [Stream(seed, v) for v in range(n)]
+        counters = [0] * n
+        for v in range(n):
+            skip = data.draw(st.integers(1, 20), label="skip")
+            assert u64_draws(bases, counters, v, skip) == [
+                streams[v].draw_u64() for _ in range(skip)]
+        bound = st.sampled_from([1, 2, 3, 5, 7, 31, 97, 2**63 + 1, 2**64 - 1, 2**64])
+        for _ in range(3):
+            v = data.draw(st.integers(0, n - 1), label="v")
+            count = data.draw(st.integers(0, 9), label="count")
+            assert u64_draws(bases, counters, v, count) == [
+                streams[v].draw_u64() for _ in range(count)]
+            nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="nodes")
+            bounds = data.draw(st.lists(bound, min_size=len(nodes), max_size=len(nodes)),
+                               label="bounds")
+            assert uniform_draws(bases, counters, nodes, bounds) == [
+                streams[v].draw_uniform(b) for v, b in zip(nodes, bounds)]
+            assert counters == [s.counter for s in streams]
+
+    def test_uniform_draws_reject_and_refuse(self):
+        """Bound 2**63 + 1 rejects about half of all raw draws, so 200 draws
+        take about 400 of them, as the stream's do.  A bound <= 0 raises
+        ValueError, as Stream.draw_uniform does, and so does one past 2**64,
+        which only the stream draws."""
+        bases, counters = stream_bases(9, node_keys(1)), [0]
+        stream = Stream(9, 0)
+        assert u64_draws(bases, counters, 0, 3) == [stream.draw_u64() for _ in range(3)]
+        bound = 2**63 + 1
+        assert uniform_draws(bases, counters, [0] * 200, [bound] * 200) == [
+            stream.draw_uniform(bound) for _ in range(200)]
+        assert counters == [stream.counter] and 300 < stream.counter < 500
+        for bound in (0, -3, 2**64 + 1):
+            with pytest.raises(ValueError, match="bound"):
+                uniform_draws(bases, counters, [0], [bound])
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="bound"):
+                stream.draw_uniform(bound)
+        assert counters == [stream.counter]
 
     def test_draw_array_is_the_uint64_matrix(self):
         """draw_array is refused for a bound wider than 64 bits, whose rows
