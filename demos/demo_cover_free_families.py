@@ -8,7 +8,7 @@ from genlabel import PolyFamily, residual_elements, smallest_prime_geq, verify_c
 q = smallest_prime_geq(5)
 family = PolyFamily(q=q, d=2)
 print(f"field GF({q}), degree <= 2: {family.family_size} sets over a ground "
-      f"set of {family.ground_size} points, each of size {q}")
+      f"set of {q * q} points, each of size {q}")
 
 # The set of a polynomial g is {(a, g(a))}; index 0 is the zero polynomial.
 print("set of the zero polynomial:", sorted(family.set_elements(0)))

@@ -161,7 +161,7 @@ def _defective_coloring(g: Graph, seed: int, params: dict):
 
 
 def _cv3_expansion(g: Graph, seed: int, params: dict):
-    colored = cole_vishkin_3coloring(g, orient_forest(g), seed=seed)
+    colored = cole_vishkin_3coloring(g, orient_forest(g))
     delta = params.get("delta", max(g.max_degree, 1))
     dom = expand_to_generic(colored.colors, delta)
     verdicts = [verify.check_proper_vertex(g, colored.colors),

@@ -76,10 +76,6 @@ class PolyFamily:
             raise ValueError(f"degree bound must be >= 1, got {self.d}")
 
     @property
-    def ground_size(self) -> int:
-        return self.q * self.q
-
-    @property
     def family_size(self) -> int:
         return self.q ** (self.d + 1)
 

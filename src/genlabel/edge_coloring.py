@@ -7,7 +7,9 @@ by its higher-id endpoint, which the edge itself names, so no result lists
 it.  The dominating-set algorithm replaces its two cited subroutines with
 simple randomized ones, so its round count is reported but carries no bound.
 They run as centralized sweeps over G; their node programs are the references
-the tests run under ``run_sync``.
+the tests run under ``run_sync``.  The one-round defective coloring is
+computed directly from its single exchange of edge numbers and keeps no
+reference program.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from dataclasses import dataclass, field
 from .graphs import Graph, line_graph, line_graph_size
 from .labels import MAX_FACTOR, LabelDomain
 from .results import DomainsResult
-from .rng import node_keys, stream_bases, subseed, u64_draws, uniform_draws
-from .runtime import NodeContext, NodeProgram, RunReport, run_sync
+from .rng import Stream, node_keys, stream_bases, subseed, u64_draws, uniform_draws
+from .runtime import NodeContext, NodeProgram, RunReport
 from .vertex_coloring import generic_delta2_coloring, generic_random_coloring
 
 
@@ -82,60 +84,37 @@ class KuhnEdgeColoring:
     params: dict = field(default_factory=dict)
 
 
-class _KuhnProgram(NodeProgram):
-    """Each vertex numbers its incident edges with a random valid numbering
-    (a uniformly random ordering of the edges, number = ceil(position/i)) and
-    tells each neighbor the number of the shared edge; an edge's color is the
-    unordered pair of the two numbers."""
-
-    def __init__(self, multiplicity: int):
-        self.multiplicity = multiplicity
-
-    def init(self, ctx: NodeContext):
-        return [0, (), ()]
-
-    def step(self, ctx: NodeContext, state, inbox):
-        if state[0] == 0:
-            order = ctx.rng.shuffle(list(ctx.neighbors))
-            mine = tuple(sorted(
-                (u, pos // self.multiplicity + 1) for pos, u in enumerate(order)))
-            return [1, mine, ()], [(u, num) for u, num in mine], not mine
-        theirs = tuple(sorted((u, num) for u, num in inbox))
-        return [2, state[1], theirs], [], True
-
-    def output(self, ctx: NodeContext, state):
-        return (state[1], state[2])
-
-
 def kuhn_defective_edge_coloring(g: Graph, i: int, seed: int = 0) -> KuhnEdgeColoring:
     """One-round defective edge coloring with C(ceil(max_degree/i)+1, 2) colors
     and per-edge defect at most 4i-2.
 
-    Each endpoint assigns each number to at most i of its edges, so at most
-    2i-1 other edges per endpoint can agree on the edge's pair, giving the
-    4i-2 bound.  Both endpoints learn the color; the numbering is drawn
-    uniformly so every palette color is reachable for an edge whose endpoints
-    both have full degree.
+    Each vertex numbers its incident edges with a random valid numbering (a
+    uniformly random order of its neighbors from its own stream, number =
+    ceil(position/i)) and tells each neighbor the number of the shared edge;
+    an edge's color is the unordered pair of the two numbers.  Each endpoint
+    assigns each number to at most i of its edges, so at most 2i-1 other
+    edges per endpoint can agree on the edge's pair, giving the 4i-2 bound.
+    The numbering is drawn uniformly so every palette color is reachable for
+    an edge whose endpoints both have full degree.
+
+    The report is the schedule's: one round of numbering and sending, and a
+    second in which the 2m numbers arrive, if there is an edge.
     """
     delta = g.max_degree
     if not 1 <= i <= max(delta, 1):
         raise ValueError(f"i must be in [1, {max(delta, 1)}], got {i}")
     numbers = -(-delta // i) if delta else 1
-    program = _KuhnProgram(i)
-    report = run_sync(program, g, seed, max_rounds=3)
-    assigned: dict[tuple[int, int], int] = {}
-    for v in range(g.n):
-        for u, num in report.outputs[v][0]:
-            assigned[(v, u)] = num
-    colors = []
-    for u, v in g.edges:
-        a, b = assigned[(u, v)], assigned[(v, u)]
-        if a > b:
-            a, b = b, a
-        colors.append(pair_index(a, b, numbers))
-    return KuhnEdgeColoring(colors=tuple(colors),
-                            numbering=tuple(out[0] for out in report.outputs),
-                            report=report, params={"i": i, "numbers": numbers})
+    numbering = tuple(
+        tuple(sorted((u, pos // i + 1)
+                     for pos, u in enumerate(Stream(seed, v).shuffle(list(neighbors)))))
+        for v, neighbors in enumerate(g.adjacency))
+    tables = [dict(row) for row in numbering]
+    colors = tuple(pair_index(min(a, b), max(a, b), numbers)
+                   for a, b in ((tables[u][v], tables[v][u]) for u, v in g.edges))
+    report = RunReport(rounds=(2 if g.m else 1) if g.n else 0,
+                       comm_rounds=1 if g.m else 0, messages_total=2 * g.m)
+    return KuhnEdgeColoring(colors=colors, numbering=numbering, report=report,
+                            params={"i": i, "numbers": numbers})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Generic vertex-coloring algorithms, each run as a node program.
+"""Generic vertex-coloring algorithms, each computed by a centralized pass
+per round over arrays.  The node programs kept here are the references the
+tests run under ``run_sync``; Cole-Vishkin has none.
 
 Every algorithm here computes, for each vertex, a *set* of labels such that
 any private choice from the sets is globally valid: disjoint neighbor sets
@@ -10,7 +12,6 @@ to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import add
 
@@ -19,7 +20,7 @@ from .graphs import Graph, Orientation, log_star
 from .labels import MAX_DELTA, LabelDomain, draw_count
 from .results import ColoringResult, DomainsResult
 from .rng import Stream, draw_array
-from .runtime import NodeContext, NodeProgram, RunReport, run_sync
+from .runtime import NodeContext, NodeProgram, RunReport
 
 
 def _degree_bound(g: Graph, delta: int | None) -> int:
@@ -53,69 +54,54 @@ def _bit_reduce(own: int, other: int) -> int:
     return 2 * i + ((own >> i) & 1)
 
 
-class _ColeVishkinProgram(NodeProgram):
-    """Forest 3-coloring: iterated bit reduction, then three shift/recolor passes.
-
-    Colors travel parent -> children every round.  Roots synthesize a parent
-    color by flipping their lowest bit during reduction and rotate their color
-    (+1 mod 3) during shift rounds, which keeps every intermediate coloring
-    proper.
-    """
-
-    def __init__(self, children: tuple[tuple[int, ...], ...], n: int):
-        self.children = children
-        self.rounds_reduce = _reduction_rounds(n)
-
-    def init(self, ctx: NodeContext):
-        # state: [round_index, color, pre_shift_color]
-        return [0, ctx.node, -1]
-
-    def step(self, ctx: NodeContext, state, inbox):
-        r, color, remembered = state
-        parent_color = inbox[0][1] if inbox else None
-        t = self.rounds_reduce
-        if 1 <= r <= t:
-            against = parent_color if parent_color is not None else color ^ 1
-            color = _bit_reduce(color, against)
-        elif r > t:
-            phase = r - t - 1  # 0..5: shift/recolor for targets 5, 4, 3
-            target = 5 - phase // 2
-            if phase % 2 == 0:  # shift down
-                remembered = color
-                color = parent_color if parent_color is not None else (color + 1) % 3
-            elif color == target:  # recolor: avoid parent and (uniform) children
-                forbidden = {parent_color, remembered}
-                color = min(c for c in (0, 1, 2) if c not in forbidden)
-        state = [r + 1, color, remembered]
-        if r == t + 6:
-            return state, [], True
-        return state, [(u, color) for u in self.children[ctx.node]], False
-
-    def output(self, ctx: NodeContext, state):
-        return state[1]
+def _free_color(a: int, b: int) -> int:
+    """The smallest of 0, 1, 2 that is neither a nor b."""
+    return min({0, 1, 2} - {a, b})
 
 
-def cole_vishkin_3coloring(g: Graph, orientation: Orientation,
-                           seed: int = 0) -> ColoringResult:
+def cole_vishkin_3coloring(g: Graph, orientation: Orientation) -> ColoringResult:
     """Proper 3-coloring of an oriented forest in about log*(n) rounds.
 
     The orientation must have out-degree at most 1 everywhere (each vertex
-    knows its unique parent) and be acyclic.
+    knows its unique parent) and be acyclic.  Colors start as ids, then run
+    iterated bit reduction against the parent's color and three
+    shift/recolor pass pairs, one pass over a parent array per round.  Roots
+    reduce against their own color with the lowest bit flipped and rotate
+    their color (+1 mod 3) when shifting, which keeps every intermediate
+    coloring proper.
+
+    The report is the schedule's: round 0 sends the ids and round t + 6
+    recolors last, so t + 7 rounds, in t + 6 of which every vertex that has a
+    parent hears that parent's color.
     """
     if orientation.graph is not g and orientation.graph != g:
         raise ValueError("orientation was built for a different graph")
     if orientation.max_out_degree > 1:
         bad = next(v for v in range(g.n) if orientation.out_degree(v) > 1)
         raise ValueError(f"not an oriented forest: vertex {bad} has out-degree > 1")
-    program = _ColeVishkinProgram(orientation.children(), g.n)
-    report = run_sync(program, g, seed, max_rounds=_reduction_rounds(g.n) + 8)
+    parent = [orientation.target[out[0]] if out else -1
+              for out in map(orientation.out_edges, range(g.n))]
+    t = _reduction_rounds(g.n)
+    colors = list(range(g.n))
+    for _ in range(t):
+        colors = [_bit_reduce(c, colors[p] if p >= 0 else c ^ 1)
+                  for c, p in zip(colors, parent)]
+    for target in (5, 4, 3):
+        # shift down; then a vertex of the target color avoids its parent's
+        # color and its own old one, which every child now holds
+        shifted = [colors[p] if p >= 0 else (c + 1) % 3 for c, p in zip(colors, parent)]
+        colors = [_free_color(shifted[p] if p >= 0 else -1, c) if s == target else s
+                  for s, c, p in zip(shifted, colors, parent)]
+    # one vertex with a parent per edge, each hearing it every round but the first
+    report = RunReport(rounds=t + 7 if g.n else 0, comm_rounds=t + 6 if g.m else 0,
+                       messages_total=(t + 6) * g.m)
     rounds_bound = log_star(max(g.n, 2))
     params = {
-        "reduction_rounds": program.rounds_reduce,
+        "reduction_rounds": t,
         "log_star_n": rounds_bound,
         "round_constant": report.rounds - rounds_bound,
     }
-    return ColoringResult(colors=report.outputs, report=report, params=params)
+    return ColoringResult(colors=tuple(colors), report=report, params=params)
 
 
 def expand_to_generic(coloring, delta: int) -> LabelDomain:

@@ -386,6 +386,7 @@ def test_criterion_10_line_graph_edge_colorings():
                 vertex_side = check_proper_vertex(lg, labels).ok
                 assert edge_side == vertex_side
                 checked += 1
+    assert checked > 100_000
 
     test_graphs = [
         generate(GeneratorSpec("clique", 3)),

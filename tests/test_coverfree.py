@@ -59,7 +59,7 @@ class TestPrimes:
 class TestPolyFamily:
     def test_counts_d2_q3(self):
         fam = PolyFamily(q=3, d=2)
-        assert fam.family_size == 27 and fam.ground_size == 9
+        assert fam.family_size == 27
         assert all(len(fam.set_elements(i)) == 3 for i in range(27))
 
     def test_zero_polynomial(self):

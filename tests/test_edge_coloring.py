@@ -23,7 +23,6 @@ from genlabel.verify import (
     check_edge_dominating,
     check_edge_properness,
     check_matching,
-    check_proper_vertex,
 )
 
 
@@ -314,38 +313,3 @@ class TestDominating:
             dominating_edge_coloring(k4, c=2)
         with pytest.raises(ValueError):
             dominating_edge_coloring(k4, t=1)
-
-
-class TestLineGraphEquivalence:
-    def test_proper_edge_iff_proper_vertex_on_line_graph(self):
-        """Exhaustive over all graphs on 6 vertices with at most 6 edges and
-        all color partitions of their edges: the two properness notions agree.
-        Isolated vertices cannot affect either side."""
-        from itertools import combinations as combos
-
-        def partitions(items):
-            if not items:
-                yield []
-                return
-            first, rest = items[0], items[1:]
-            for part in partitions(rest):
-                for i in range(len(part)):
-                    yield part[:i] + [[first] + part[i]] + part[i + 1:]
-                yield [[first]] + part
-
-        pairs = list(combos(range(6), 2))
-        checked = 0
-        for m in range(0, 7):
-            for subset in combos(pairs, m):
-                g = Graph.from_edges(6, subset)
-                lg = line_graph(g)
-                for part in partitions(list(range(m))):
-                    labels = [0] * m
-                    for color, block in enumerate(part):
-                        for e in block:
-                            labels[e] = color
-                    edge_side = check_edge_properness(g, labels).ok
-                    vertex_side = check_proper_vertex(lg, labels).ok
-                    assert edge_side == vertex_side
-                    checked += 1
-        assert checked > 100_000

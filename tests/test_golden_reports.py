@@ -5,8 +5,10 @@ graphs only, so no file path enters its output.  It is pinned to its exit
 code and the sha256 of the bytes it writes: every row of the built-in bench
 suite for seeds 0 and 1 in both formats, the default bench table, and every
 tag on the degenerate graphs path:n=0, path:n=1 and clique:n=2, two
-cover-free pipeline runs on path:n=400 that take reduction steps, and one
-network decomposition of twelve multi-phase executions.  A change
+cover-free pipeline runs on path:n=400 that take reduction steps, one
+network decomposition of twelve multi-phase executions, Cole-Vishkin runs
+with 0 to 3 bit-reduction rounds and on a 32-tree forest, and two Kuhn runs,
+one of them with an isolated vertex.  A change
 that is meant to keep reports byte-identical must leave every case passing.
 
 Run this file as a script to print the cases with the digests of the code
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from genlabel import runtime
 from genlabel.cli import main
 
 # (command, exit code, sha256 of the written report or table)
@@ -205,6 +208,23 @@ CASES = [
     # reduction steps [[2, 11], [2, 7]], then the residual round with rho = 1
     ("run --algo defective-coloring --gen path:n=400 --seed 0 --format json --param p=1",
      0, "323ffddab6d61041e1e71c08f328a2126b196f844aed2d8e89c25a901625973b"),
+    # Cole-Vishkin with t = 0, 1, 2 and 3 bit-reduction rounds
+    ("run --algo cv3-expansion --gen path:n=5 --seed 0",
+     0, "6929840ba551daa01a6ef370d250540d74ba7a39b7e5040bf392aad8f13ef497"),
+    ("run --algo cv3-expansion --gen path:n=7 --seed 0",
+     0, "dec15a27be8d5f19c03c64f3ed279f40e448c93f68903c339ebd85a1c9a10d5d"),
+    ("run --algo cv3-expansion --gen random-tree:n=16 --seed 0",
+     0, "c997c4108bac60837f5ed3df32c6d27a8c5cc2f0d5a7d4d861d612561ea0cc91"),
+    ("run --algo cv3-expansion --gen path:n=64 --seed 0",
+     0, "5d36d1d882290bc7bc6f4ecd458ed04f1db856bcf33b64a51a28c0644a4a9f2e"),
+    # a forest of 32 components, so 32 roots
+    ("run --algo cv3-expansion --gen forest-union:n=64,a=1 --seed 0",
+     0, "e53f26703406c475d832bbf96b400de98807d1e2c93313f8b8d5faea7c7a09fc"),
+    ("run --algo kuhn-edge --gen clique:n=9 --seed 0 --param i=3",
+     0, "40d0d506234bf962260911531e7ac198e7df2fa64e3b1ad713fd6277bbbcf9bc"),
+    # one vertex of this graph is isolated
+    ("run --algo kuhn-edge --gen gnp:n=64,p=0.05 --seed 0 --param i=2",
+     0, "1aee716110b2a33c2187201b307da0515f82b82fdaa2ff6ed41c885f3f41b93e"),
 ]
 
 
@@ -217,6 +237,17 @@ def _run(command: str, out: Path) -> tuple[int, str]:
 @pytest.mark.parametrize("command,code,digest", CASES, ids=[c[0] for c in CASES])
 def test_report_digest(command, code, digest, tmp_path):
     assert _run(command, tmp_path / "out") == (code, digest)
+
+
+def test_no_case_reaches_the_round_engine(monkeypatch, tmp_path):
+    """Every case keeps its exit code and digest with the round engine made to
+    raise: every alias of ``run_sync`` reaches ``runtime._run_rounds``, so no
+    production path steps a node program."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the round engine ran")
+    monkeypatch.setattr(runtime, "_run_rounds", refuse)
+    for i, (command, code, digest) in enumerate(CASES):
+        assert _run(command, tmp_path / str(i)) == (code, digest), command
 
 
 if __name__ == "__main__":

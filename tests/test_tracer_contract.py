@@ -6,9 +6,10 @@ rebound name fails here instead of silently zeroing a per-layer metric.
 
 The fifth invocation, delta2-coloring on path:n=400, takes a reduction step:
 the residual round counts polynomial roots and builds no point set, so only
-the reduction steps still call ``PolyFamily.set_elements``.  The four tags
-and the pipeline run as centralized sweeps, so the sixth, cv3-expansion on a
-random tree, is the one whose Cole-Vishkin rounds still reach ``run_sync``."""
+the reduction steps still call ``PolyFamily.set_elements``.  The sixth,
+cv3-expansion on a random tree, is computed from its schedule.  No
+production path reaches ``run_sync``, so no ``runtime`` layer is required to
+record."""
 
 import json
 import os
@@ -24,9 +25,9 @@ TAGS = ("random-coloring", "network-decomposition", "dominating-edge", "edge-del
 REDUCING = "run --algo delta2-coloring --gen path:n=400 --seed 0 --format json"
 TRACED = [case for case in CASES for tag in TAGS
           if case[0].startswith(f"run --algo {tag} ") and "--seed 0 --format json" in case[0]]
-ROUND_ENGINE = "run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format json"
-TRACED += [case for case in CASES if case[0] in (REDUCING, ROUND_ENGINE)]
-LAYERS = ("runtime.run_sync_s", "decomposition.linial_saks_s",
+FOREST = "run --algo cv3-expansion --gen random-tree:n=512,max_deg=8 --seed 0 --format json"
+TRACED += [case for case in CASES if case[0] in (REDUCING, FOREST)]
+LAYERS = ("decomposition.linial_saks_s",
           "decomposition.flood_messages", "decomposition.phases", "graphs.line_graph_s",
           "coverfree.set_elements_calls", "verify.check_s",
           "vertex_coloring.random_coloring_s", "vertex_coloring.delta2_coloring_s",

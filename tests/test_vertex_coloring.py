@@ -17,6 +17,7 @@ from genlabel import (
     log_star,
     orient_by_id,
     orient_forest,
+    runtime,
     smallest_prime_geq,
     vertex_coloring,
 )
@@ -314,8 +315,8 @@ class TestPipelineMatchesProgram:
 
     def test_production_never_reaches_run_sync(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("run_sync called")
-        monkeypatch.setattr(vertex_coloring, "run_sync", refuse)
+            raise AssertionError("the round engine ran")
+        monkeypatch.setattr(runtime, "_run_rounds", refuse)
         g = REDUCING_GRAPHS[0]
         generic_delta2_coloring(g)
         generic_defective_coloring(g, p=1)
